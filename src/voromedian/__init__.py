@@ -42,6 +42,7 @@ from .refine import (
     ContinuousSolution,
     InfeasibleStartError,
     NoFeasibleSampleError,
+    RefineMonotonicityError,
     assign,
     constrained_weber,
     multistart_random,
@@ -59,6 +60,7 @@ __all__ = [
     "InfeasibleStartError",
     "NoFeasibleCandidatesError",
     "NoFeasibleSampleError",
+    "RefineMonotonicityError",
     "SeedStream",
     "TriangleAreaReport",
     "Triangulation",

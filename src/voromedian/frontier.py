@@ -38,8 +38,9 @@ class FrontierRecord:
     objective: float | None  # None marks a gap (no solvable restriction)
     facilities: np.ndarray | None  # (p, 2) or None on a gap
     candidate_count: int
-    proven: bool
+    proven: bool  # the discrete optimum over this record's own candidates was proven
     repaired: bool = False
+    repaired_from: float | None = None  # clearance the adopted solution was found at
     gap_reason: str | None = None
 
 
@@ -182,7 +183,9 @@ def sweep(
 
 def _repair_envelope(records: list[FrontierRecord]) -> list[FrontierRecord]:
     """Propagate better large-clearance solutions down to smaller clearances
-    (they remain feasible there), flagging replaced records."""
+    (they remain feasible there), flagging replaced records. A repaired
+    record keeps its own `proven` flag and names the clearance its adopted
+    solution was found at."""
     best: FrontierRecord | None = None
     for rec in reversed(records):
         if rec.objective is None:
@@ -190,8 +193,8 @@ def _repair_envelope(records: list[FrontierRecord]) -> list[FrontierRecord]:
         if best is not None and best.objective < rec.objective:
             rec.objective = best.objective
             rec.facilities = best.facilities.copy()
-            rec.proven = best.proven
             rec.repaired = True
+            rec.repaired_from = best.dmin if best.repaired_from is None else best.repaired_from
         if best is None or rec.objective <= best.objective:
             best = rec
     return records

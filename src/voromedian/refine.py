@@ -39,6 +39,10 @@ class NoFeasibleSampleError(RuntimeError):
     """Rejection sampling found no feasible point to start from."""
 
 
+class RefineMonotonicityError(RuntimeError):
+    """A refinement round raised the objective."""
+
+
 @dataclass
 class ContinuousSolution:
     facilities: np.ndarray  # (p, 2)
@@ -220,7 +224,10 @@ def refine(
     for _ in range(max_rounds):
         fac = _weber_clusters(x, w, c, fac, instance, dmin, tree, tol, max_iter)
         c, new_obj = assign(fac, instance)
-        assert new_obj <= obj + 1e-9 * max(1.0, obj), "objective increased within a round"
+        if not new_obj <= obj + 1e-9 * max(1.0, obj):  # a NaN objective fails too
+            raise RefineMonotonicityError(
+                f"objective rose from {obj:.17g} to {new_obj:.17g} within a round"
+            )
         trace.append(new_obj)
         done = obj - new_obj < tol * max(obj, 1e-300)
         obj = new_obj

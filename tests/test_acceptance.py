@@ -179,6 +179,7 @@ def test_04_exact_discrete_objectives(bench):
     _report(4, f"n=100 p=2..5 exact objectives within 0.005 [{elapsed:.1f}s]")
 
 
+@pytest.mark.slow
 def test_05_heuristic_discrete_objectives(bench):
     t0 = time.time()
     checked = []
@@ -212,6 +213,7 @@ def test_06_refined_objectives(bench):
     _report(6, f"n=100 p=2..5 refined objectives within 1% [{elapsed:.1f}s]")
 
 
+@pytest.mark.slow
 def test_07_triangle_analytics():
     t0 = time.time()
     r = triangle_feasible_area(1.0, 1.05)
@@ -253,6 +255,7 @@ def test_08_frontier_spot_checks(inst100):
                f"(D=0 within 1%, rest within 2%) [{elapsed:.0f}s]")
 
 
+@pytest.mark.slow
 def test_09_seeding_dominance(bench):
     """Candidate-seeded refinement vs random-feasible multistart (100-try
     variant) across all 21 benchmark configurations."""

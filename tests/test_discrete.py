@@ -129,7 +129,132 @@ class TestSolutionInvariants:
         assert len(sol.selected) == 6
 
 
+def reference_local_search(d, weights, sel, rng):
+    """The closed-form vertex substitution that the incremental search
+    replaced: every iteration rebuilds all swap deltas from the nearest and
+    second-nearest distances. Same scan order and threshold."""
+    nd, m = d.shape
+    p = len(sel)
+    sel = np.array(sorted(sel), dtype=int)
+    if p == m:
+        return sorted(int(c) for c in sel), float(weights @ d.min(axis=1))
+    while True:
+        sub = d[:, sel]
+        if p == 1:
+            pos1, d1, d2 = np.zeros(nd, dtype=int), sub[:, 0], np.full(nd, np.inf)
+        else:
+            part = np.argpartition(sub, 1, axis=1)[:, :2]
+            dpair = sub[np.arange(nd)[:, None], part]
+            swap = dpair[:, 0] > dpair[:, 1]
+            part[swap] = part[swap][:, ::-1]
+            dpair[swap] = dpair[swap][:, ::-1]
+            pos1, d1, d2 = part[:, 0], dpair[:, 0], dpair[:, 1]
+        obj = float(weights @ d1)
+        closed = np.setdiff1d(np.arange(m), sel)
+        dc = d[:, closed]
+        gain = weights @ np.maximum(d1[:, None] - dc, 0.0)
+        per_row = (np.minimum(dc, d2[:, None]) - np.minimum(dc, d1[:, None])) * weights[:, None]
+        onehot = (pos1[:, None] == np.arange(p)[None, :]).astype(float)
+        delta = onehot.T @ per_row - gain[None, :]
+        if not (delta < -1e-9).any():
+            return sorted(int(c) for c in sel), obj
+        order = rng.permutation(p * len(closed))
+        hit = order[np.nonzero((delta.ravel() < -1e-9)[order])[0][0]]
+        r_pos, a_pos = divmod(int(hit), len(closed))
+        sel = np.sort(np.concatenate([np.delete(sel, r_pos), [closed[a_pos]]]))
+
+
+def tied_problem(rng):
+    """Small matrix with rounded (tied) distances, duplicate columns and
+    integer weights."""
+    nd, m = int(rng.integers(4, 25)), int(rng.integers(3, 12))
+    matrix, _ = random_problem(rng, nd, m)
+    matrix = np.round(matrix, int(rng.integers(0, 2)))
+    dup = rng.integers(m, size=int(rng.integers(0, 3)))
+    matrix = np.hstack([matrix, matrix[:, dup]])
+    return matrix, rng.integers(1, 5, size=nd).astype(float)
+
+
+def assert_matches_reference(monkeypatch, matrix, w, p, starts, seed):
+    with monkeypatch.context() as mp:
+        mp.setattr(discrete, "_local_search", reference_local_search)
+        ref = solve_interchange(matrix, w, p, starts=starts, seed=seed)
+    sol = solve_interchange(matrix, w, p, starts=starts, seed=seed)
+    assert sol.selected == ref.selected, (p, seed)
+    assert sol.objective == ref.objective, (p, seed)
+    return sol
+
+
+class TestLocalSearchOracle:
+    def test_tied_random_matrices(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        for trial in range(200):
+            matrix, w = tied_problem(rng)
+            p = int(rng.integers(1, matrix.shape[1] + 1))
+            assert_matches_reference(monkeypatch, matrix, w, p, starts=4, seed=trial)
+
+    def test_single_descent_from_random_starts(self):
+        # best-of-starts can hide a wrong descent; compare single runs too
+        rng = np.random.default_rng(22)
+        for trial in range(300):
+            matrix, w = tied_problem(rng)
+            m = matrix.shape[1]
+            start = list(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False))
+            got = discrete._local_search(matrix, w, start, np.random.default_rng(trial))
+            ref = reference_local_search(matrix, w, start, np.random.default_rng(trial))
+            assert got[0] == ref[0], trial
+            # the objective is summed as evaluate() sums it, which may differ
+            # from the reference's strided sum in the last bits
+            assert got[1] == evaluate(matrix, w, got[0]).objective, trial
+            assert got[1] == pytest.approx(ref[1], rel=1e-14, abs=1e-12), trial
+
+    def test_result_is_swap_local_optimum(self):
+        rng = np.random.default_rng(21)
+        for trial in range(40):
+            matrix, w = tied_problem(rng)
+            m = matrix.shape[1]
+            p = int(rng.integers(1, m))
+            sol = solve_interchange(matrix, w, p, starts=1, seed=trial)
+            closed = sorted(set(range(m)) - set(sol.selected))
+            for r in sol.selected:
+                for a in closed:
+                    swapped = (set(sol.selected) - {r}) | {a}
+                    assert evaluate(matrix, w, swapped).objective >= sol.objective - 1e-9
+
+    @pytest.mark.parametrize("p", [2, 5, 10, 20])
+    def test_benchmark_matrices(self, monkeypatch, inst100, inst500, p):
+        for inst, dmin, starts in ((inst100, 0.95, 100), (inst500, 0.42, 20)):
+            matrix = build_matrix(inst, feasible_candidates(inst, dmin))
+            for seed in (0, 1):
+                assert_matches_reference(monkeypatch, matrix, inst.weights, p, starts, seed)
+
+
 class TestSolveInterchange:
+    def test_single_facility_is_best_column(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        for seed in range(10):
+            matrix, w = tied_problem(rng)
+            sol = assert_matches_reference(monkeypatch, matrix, w, 1, starts=3, seed=seed)
+            costs = w @ matrix
+            assert np.isfinite(sol.objective)
+            assert sol.objective <= costs.min() + 1e-9
+
+    def test_all_but_one_column(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        for seed in range(10):
+            matrix, w = random_problem(rng, 15, 7)
+            sol = assert_matches_reference(monkeypatch, matrix, w, 6, starts=3, seed=seed)
+            exact = solve_exact(matrix, w, 6)
+            assert sol.objective >= exact.objective - 1e-9
+            assert len(sol.selected) == 6
+
+    def test_every_column(self, monkeypatch):
+        matrix, w = tied_problem(np.random.default_rng(14))
+        m = matrix.shape[1]
+        sol = assert_matches_reference(monkeypatch, matrix, w, m, starts=2, seed=0)
+        assert sol.selected == tuple(range(m))
+        assert sol.objective == float(w @ matrix.min(axis=1))
+
     def test_equals_exact_when_p_is_m(self):
         rng = np.random.default_rng(8)
         matrix, w = random_problem(rng, 10, 4)

@@ -102,6 +102,7 @@ class TestEnvelopeRepair:
         out = _repair_envelope(records)
         assert [r.objective for r in out] == [101.0, 101.0, 103.0]
         assert [r.repaired for r in out] == [True, False, False]
+        assert [r.repaired_from for r in out] == [0.2, None, None]
         # the repaired record adopted the donor's facilities
         assert np.array_equal(out[0].facilities, out[1].facilities)
 
@@ -109,6 +110,17 @@ class TestEnvelopeRepair:
         records = [self.rec(0.1, 100.0), self.rec(0.2, 101.0)]
         out = _repair_envelope(records)
         assert [r.repaired for r in out] == [False, False]
+
+    def test_repaired_record_keeps_its_own_proven_flag(self):
+        records = [self.rec(0.1, 105.0), self.rec(0.2, 101.0), self.rec(0.3, 99.0)]
+        records[0].proven = False  # heuristic solve at 0.1
+        records[1].proven = True   # proven optimum at 0.2, still beaten at 0.3
+        records[2].proven = False  # heuristic donor
+        out = _repair_envelope(records)
+        assert [r.repaired for r in out] == [True, True, False]
+        assert [r.proven for r in out] == [False, True, False]
+        assert [r.repaired_from for r in out] == [0.3, 0.3, None]
+        assert [r.objective for r in out] == [99.0, 99.0, 99.0]
 
     def test_gaps_skipped(self):
         records = [self.rec(0.1, 105.0), self.rec(0.2, None), self.rec(0.3, 100.0)]

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from voromedian.instances import Instance
 from voromedian.refine import (
     InfeasibleStartError,
     NoFeasibleSampleError,
+    RefineMonotonicityError,
     assign,
     constrained_weber,
     multistart_random,
@@ -163,6 +165,17 @@ class TestRefine:
     def test_infeasible_start_rejected(self, inst100):
         with pytest.raises(InfeasibleStartError):
             refine(inst100, 1.0, [inst100.demand_xy[0]])
+
+    def test_objective_increase_raises(self, monkeypatch):
+        inst = Instance(demand_xy=[[1, 1], [9, 9]], weights=[1, 1],
+                        obnoxious_xy=[[5, 5]], box=BoundingBox(0, 0, 10, 10))
+        # a descent step that moves every facility farther from its demand
+        # the package re-exports the function `refine` under the module's name
+        refine_mod = importlib.import_module("voromedian.refine")
+        monkeypatch.setattr(refine_mod, "_weber_clusters",
+                            lambda x, w, c, fac, *args: fac + 0.5)
+        with pytest.raises(RefineMonotonicityError, match="objective rose"):
+            refine(inst, 1.0, [[1, 1], [9, 9]])
 
     def test_local_optimum_is_fixed_point(self):
         inst = Instance(demand_xy=[[1, 1], [9, 9]], weights=[1, 1],

@@ -47,6 +47,7 @@ from .refine import (
     constrained_weber,
     multistart_random,
     refine,
+    refine_many,
 )
 
 __all__ = [
@@ -76,6 +77,7 @@ __all__ = [
     "nearest_obnoxious",
     "read_instance",
     "refine",
+    "refine_many",
     "sample_feasible",
     "solve_exact",
     "solve_interchange",

@@ -160,18 +160,35 @@ class Lcg64:
     MULTIPLIER = 6364136223846793005
     INCREMENT = 1442695040888963407
     MASK = (1 << 64) - 1
+    BLOCK = 4096  # states produced per jump-ahead step
+    _jump = None  # (A^k, C_k) for k = 1..BLOCK, built on first use
 
     def __init__(self, seed: int):
         self.state = (int(seed) ^ 0x9E3779B97F4A7C15) & self.MASK
 
+    @classmethod
+    def _jump_tables(cls) -> tuple[np.ndarray, np.ndarray]:
+        """k steps map s to A^k s + C_k (mod 2^64); uint64 arithmetic wraps."""
+        if cls._jump is None:
+            a = np.array([cls.MULTIPLIER], dtype=np.uint64)
+            c = np.array([cls.INCREMENT], dtype=np.uint64)
+            while len(a) < cls.BLOCK:
+                # L + j steps: A^(L+j) = A^j A^L and C_(L+j) = A^j C_L + C_j
+                a, c = np.concatenate([a, a * a[-1]]), np.concatenate([c, a * c[-1] + c])
+            cls._jump = (a[: cls.BLOCK], c[: cls.BLOCK])
+        return cls._jump
+
     def uniforms(self, count: int) -> np.ndarray:
-        """`count` doubles in [0, 1)."""
+        """`count` doubles in [0, 1): the recurrence above, a block at a time."""
+        a, c = self._jump_tables()
         out = np.empty(count)
-        s = self.state
-        for i in range(count):
-            s = (self.MULTIPLIER * s + self.INCREMENT) & self.MASK
-            out[i] = (s >> 11) / 9007199254740992.0  # 2^53
-        self.state = s
+        s = np.uint64(self.state)
+        for lo in range(0, count, self.BLOCK):
+            states = a[: count - lo] * s + c[: count - lo]
+            out[lo : lo + len(states)] = states >> np.uint64(11)
+            s = states[-1]
+        out *= 2.0**-53
+        self.state = int(s)
         return out
 
 

@@ -60,7 +60,8 @@ def _unconstrained(instance: Instance, p: int, tries: int, seed: int):
     """Multistart location-allocation without clearance constraints.
 
     One start is seeded from an interchange solve over the demand points
-    themselves; the remaining starts are random demand-point subsets.
+    themselves; the remaining starts are random demand-point subsets. All
+    starts descend in one batch.
     """
     x, w = instance.demand_xy, instance.weights
     if p >= instance.n_demand:
@@ -70,14 +71,14 @@ def _unconstrained(instance: Instance, p: int, tries: int, seed: int):
     diff = x[:, None, :] - x[None, :, :]
     dmat = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     seeded = discrete.solve_interchange(dmat, w, p, starts=50, seed=seed)
-    best = refine_mod.refine(instance, 0.0, x[list(seeded.selected)])
+    del diff, dmat  # not needed by the batched descent below
     rng = np.random.default_rng(seed)
-    for _ in range(max(tries - 1, 0)):
-        start = x[rng.choice(instance.n_demand, size=p, replace=False)]
-        sol = refine_mod.refine(instance, 0.0, start)
-        if sol.objective < best.objective:
-            best = sol
-    return best
+    starts = [x[list(seeded.selected)]] + [
+        x[rng.choice(instance.n_demand, size=p, replace=False)]
+        for _ in range(max(tries - 1, 0))
+    ]
+    # the first of equal objectives wins, the seeded start before the others
+    return min(refine_mod.refine_many(instance, 0.0, starts), key=lambda s: s.objective)
 
 
 def solve_one(

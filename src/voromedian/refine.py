@@ -11,6 +11,17 @@ stay inside the instance box.
 
 All accepted configurations are feasible and the total objective is
 non-increasing, both per Weiszfeld step (per cluster) and per round.
+
+Several starts descend in lockstep (`refine_many`; `refine` is a batch of
+one). Each round stacks the facilities of the starts still running into one
+Weiszfeld call: start j's cluster ids are offset by j * p and label the
+demand rows once per start. Every start then gets its own assignment,
+monotonicity check, trace entry and stop test, and leaves the batch when it
+converges. A facility's accept/halve schedule reads only its own cluster,
+`bincount` sums each cluster's rows in input order and a KD-tree query of a
+point does not depend on the other points queried, so every start's result
+is bit-identical to descending it alone; the batch only shares the fixed
+cost of each numpy and KD-tree call.
 """
 
 from __future__ import annotations
@@ -67,32 +78,89 @@ def _feasibility_fix(points: np.ndarray, instance: Instance, dmin: float,
     """Clamp into the box and project onto exclusion circles until feasible.
 
     Each pass projects every violating point onto the circle of its nearest
-    (= most violated) protected point. Returns (points, feasible_mask).
+    (= most violated) protected point. Only the points a pass moved are
+    queried again: the others already clear `dmin`. Returns
+    (points, feasible_mask).
     """
-    pts = instance.box.clamp(points)
+    box = instance.box
+    lo, hi = (box.xmin, box.ymin), (box.xmax, box.ymax)
+    pts = np.minimum(np.maximum(points, lo), hi)
+    feasible = np.ones(len(pts), dtype=bool)
     if tree is None or dmin <= 0:
-        return pts, np.ones(len(pts), dtype=bool)
+        return pts, feasible
+    moved = np.arange(len(pts))
     for _ in range(MAX_PROJECTIONS):
-        dist, nearest = tree.query(pts)
+        dist, nearest = tree.query(pts[moved])
         bad = dist < dmin - FEAS_TOL
         if not bad.any():
-            return pts, np.ones(len(pts), dtype=bool)
+            return pts, feasible
+        moved = moved[bad]
         centers = tree.data[nearest[bad]]
-        offset = pts[bad] - centers
+        offset = pts[moved] - centers
         norm = np.hypot(offset[:, 0], offset[:, 1])
         # a point exactly on a protected point has no direction; pick +x
         degenerate = norm < 1e-300
         offset[degenerate] = (1.0, 0.0)
         norm[degenerate] = 1.0
-        pts[bad] = centers + dmin * offset / norm[:, None]
-        pts = instance.box.clamp(pts)
-    dist, _ = tree.query(pts)
-    return pts, dist >= dmin - FEAS_TOL
+        pts[moved] = np.minimum(np.maximum(centers + dmin * offset / norm[:, None], lo), hi)
+    feasible[moved] = tree.query(pts[moved])[0] >= dmin - FEAS_TOL
+    return pts, feasible
+
+
+def _members(x, w, c, active) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coordinates, weights and cluster ids of the rows of the active
+    clusters, in input order. `c` labels the rows of `x`, or of several
+    copies of `x` laid end to end."""
+    rows = np.flatnonzero(active[c])
+    ci = c[rows]
+    rows %= len(x)
+    return x[rows], w[rows], ci
 
 
 def _cluster_costs(x, w, c, facilities, p) -> np.ndarray:
-    diff = x - facilities[c]
-    return np.bincount(c, weights=w * np.hypot(diff[:, 0], diff[:, 1]), minlength=p)
+    diff = facilities[c]
+    np.subtract(x, diff, out=diff)
+    dist = np.hypot(diff[:, 0], diff[:, 1])
+    return np.bincount(c, weights=np.multiply(w, dist, out=dist), minlength=p)
+
+
+def _weiszfeld_targets(x, w, c, fac, active) -> np.ndarray:
+    """Weiszfeld target of every facility from its cluster's rows. Clears
+    `active` for a facility that is stuck on a demand point."""
+    p = len(fac)
+    diff = fac[c]
+    np.subtract(x, diff, out=diff)
+    dist = np.hypot(diff[:, 0], diff[:, 1])
+    coincident = dist < 1e-9
+    u = np.divide(w, np.maximum(dist, 1e-12, out=dist), out=dist)
+    u[coincident] = 0.0  # coincident members handled separately below
+    den = np.bincount(c, weights=u, minlength=p)
+    num_x = np.bincount(c, weights=u * x[:, 0], minlength=p)
+    num_y = np.bincount(c, weights=u * x[:, 1], minlength=p)
+    target = fac.copy()
+    ok = den > 0
+    target[ok] = np.column_stack([num_x[ok], num_y[ok]]) / den[ok, None]
+
+    # A facility sitting on a demand point is a Weiszfeld fixed point.
+    # One-sided descent test: it is locally optimal iff the net pull of
+    # the remaining members does not exceed the coincident weight; if it
+    # does, damp the step toward the others-only target accordingly.
+    if coincident.any():
+        anchored = np.bincount(c[coincident], minlength=p).astype(bool)
+        w_anchor = np.bincount(c[coincident], weights=w[coincident], minlength=p)
+        pull_x = np.bincount(c, weights=u * diff[:, 0], minlength=p)
+        pull_y = np.bincount(c, weights=u * diff[:, 1], minlength=p)
+        pull = np.hypot(pull_x, pull_y)
+        stuck = anchored & (pull <= w_anchor + 1e-15)
+        active[stuck] = False
+        escape = active & anchored & ok
+        eta = np.zeros(p)
+        eta[escape] = w_anchor[escape] / pull[escape]
+        target[escape] = (
+            eta[escape, None] * fac[escape]
+            + (1.0 - eta[escape, None]) * target[escape]
+        )
+    return target
 
 
 def _weber_clusters(
@@ -108,58 +176,43 @@ def _weber_clusters(
 ) -> np.ndarray:
     """Constrained Weiszfeld descent for all clusters at once.
 
-    Every facility follows its own accept/halve schedule; empty clusters are
-    left untouched. Cluster objectives never increase.
+    `c` labels the rows of `x` (weights `w`), or of several copies of `x`
+    laid end to end. Every facility follows its own accept/halve schedule,
+    which reads only its own cluster's rows; empty clusters are left
+    untouched. Only the active facilities are proposed, projected and
+    costed, from the rows gathered when the active set last shrank. Cluster
+    objectives never increase.
     """
     p = len(facilities)
     fac = np.array(facilities, dtype=float)
-    obj = _cluster_costs(x, w, c, fac, p)
     lam = np.ones(p)
     halvings = np.zeros(p, dtype=int)
     active = np.bincount(c, minlength=p) > 0
+    xi, wi, ci = _members(x, w, c, active)
+    obj = _cluster_costs(xi, wi, ci, fac, p)
+    gathered = np.count_nonzero(active)
 
     for _ in range(max_iter):
-        if not active.any():
+        n_active = np.count_nonzero(active)
+        if n_active == 0:
             break
-        member = active[c]
-        xi, wi, ci = x[member], w[member], c[member]
-        diff = xi - fac[ci]
-        dist = np.hypot(diff[:, 0], diff[:, 1])
-        coincident = dist < 1e-9
-        u = wi / np.maximum(dist, 1e-12)
-        u[coincident] = 0.0  # coincident members handled separately below
-        den = np.bincount(ci, weights=u, minlength=p)
-        num_x = np.bincount(ci, weights=u * xi[:, 0], minlength=p)
-        num_y = np.bincount(ci, weights=u * xi[:, 1], minlength=p)
-        target = fac.copy()
-        ok = den > 0
-        target[ok] = np.column_stack([num_x[ok], num_y[ok]]) / den[ok, None]
+        if n_active < gathered:  # active facilities only ever drop out
+            xi = wi = ci = None  # release the old rows before gathering anew
+            xi, wi, ci = _members(x, w, c, active)
+            gathered = n_active
+        target = _weiszfeld_targets(xi, wi, ci, fac, active)
 
-        # A facility sitting on a demand point is a Weiszfeld fixed point.
-        # One-sided descent test: it is locally optimal iff the net pull of
-        # the remaining members does not exceed the coincident weight; if it
-        # does, damp the step toward the others-only target accordingly.
-        if coincident.any():
-            anchored = np.bincount(ci[coincident], minlength=p).astype(bool)
-            w_anchor = np.bincount(ci[coincident], weights=wi[coincident], minlength=p)
-            pull_x = np.bincount(ci, weights=u * diff[:, 0], minlength=p)
-            pull_y = np.bincount(ci, weights=u * diff[:, 1], minlength=p)
-            pull = np.hypot(pull_x, pull_y)
-            stuck = anchored & (pull <= w_anchor + 1e-15)
-            active[stuck] = False
-            escape = active & anchored & ok
-            eta = np.zeros(p)
-            eta[escape] = w_anchor[escape] / pull[escape]
-            target[escape] = (
-                eta[escape, None] * fac[escape]
-                + (1.0 - eta[escape, None]) * target[escape]
-            )
-
-        proposal = fac + lam[:, None] * (target - fac)
-        proposal, feas = _feasibility_fix(proposal, instance, dmin, tree)
-        new_obj = _cluster_costs(x, w, c, proposal, p)
+        live = np.flatnonzero(active)
+        step = fac[live]
+        step += lam[live, None] * (target[live] - step)
+        step, feas = _feasibility_fix(step, instance, dmin, tree)
+        proposal = fac.copy()
+        proposal[live] = step
+        # each bin sums its rows in the same order as a pass over all rows
+        new_obj = _cluster_costs(xi, wi, ci, proposal, p)
+        accept = np.zeros(p, dtype=bool)
+        accept[live] = feas & (new_obj[live] < obj[live])
         rel_gain = (obj - new_obj) / np.maximum(obj, 1e-300)
-        accept = active & feas & (new_obj < obj)
 
         fac[accept] = proposal[accept]
         obj[accept] = new_obj[accept]
@@ -199,6 +252,80 @@ def constrained_weber(
     return fac[0]
 
 
+def _stacked_clusters(assignments: list[np.ndarray], p: int) -> np.ndarray:
+    """One cluster-id array for a batch: start j's ids offset by j * p."""
+    c = np.concatenate(assignments)
+    c.reshape(len(assignments), -1)[:] += np.arange(0, len(assignments) * p, p)[:, None]
+    return c
+
+
+def refine_many(
+    instance: Instance,
+    dmin: float,
+    starts,
+    tol: float = TOL_REFINE,
+    max_rounds: int = MAX_ROUNDS,
+    max_iter: int = MAX_WEBER_ITER,
+) -> list[ContinuousSolution]:
+    """Location-allocation descent from each of several feasible p-point
+    configurations, run in lockstep; one solution per start, in order.
+
+    Raises InfeasibleStartError, naming the first infeasible start, before
+    any descent runs.
+    """
+    facs = np.array([np.atleast_2d(np.asarray(s, dtype=float)) for s in starts])
+    if len(facs) == 0:
+        return []
+    k_all, p, _ = facs.shape
+    tree = cKDTree(instance.obnoxious_xy) if instance.n_obnoxious else None
+    if tree is not None and dmin > 0:
+        clearance = tree.query(facs.reshape(-1, 2))[0].reshape(k_all, p)
+        bad = (clearance < dmin - FEAS_TOL).any(axis=1)
+        if bad.any():
+            k = int(np.argmax(bad))
+            worst = int(np.argmin(clearance[k]))
+            raise InfeasibleStartError(
+                f"start {k}: facility {worst} at clearance "
+                f"{clearance[k, worst]:.6g} < {dmin}"
+            )
+
+    x, w = instance.demand_xy, instance.weights
+    assignment, objective, trace = [], [], []
+    for fac in facs:
+        c, obj = assign(fac, instance)
+        assignment.append(c)
+        objective.append(obj)
+        trace.append([obj])
+    running = list(range(k_all))
+    for _ in range(max_rounds):
+        if not running:
+            break
+        moved = _weber_clusters(
+            x, w, _stacked_clusters([assignment[k] for k in running], p),
+            facs[running].reshape(-1, 2), instance, dmin, tree, tol, max_iter,
+        ).reshape(len(running), p, 2)
+        still = []
+        for j, k in enumerate(running):
+            facs[k] = moved[j]
+            assignment[k], new_obj = assign(facs[k], instance)
+            obj = objective[k]
+            if not new_obj <= obj + 1e-9 * max(1.0, obj):  # a NaN objective fails too
+                raise RefineMonotonicityError(
+                    f"start {k}: objective rose from {obj:.17g} to {new_obj:.17g} "
+                    "within a round"
+                )
+            trace[k].append(new_obj)
+            objective[k] = new_obj
+            if obj - new_obj >= tol * max(obj, 1e-300):
+                still.append(k)
+        running = still
+    return [
+        ContinuousSolution(facilities=f.copy(), assignment=c, objective=o, feasible=True,
+                           trace=t)
+        for f, c, o, t in zip(facs, assignment, objective, trace)
+    ]
+
+
 def refine(
     instance: Instance,
     dmin: float,
@@ -208,34 +335,7 @@ def refine(
     max_iter: int = MAX_WEBER_ITER,
 ) -> ContinuousSolution:
     """Location-allocation descent from a feasible p-point configuration."""
-    fac = np.atleast_2d(np.asarray(start, dtype=float)).copy()
-    tree = cKDTree(instance.obnoxious_xy) if instance.n_obnoxious else None
-    if tree is not None and dmin > 0:
-        clearance = tree.query(fac)[0]
-        if (clearance < dmin - FEAS_TOL).any():
-            worst = int(np.argmin(clearance))
-            raise InfeasibleStartError(
-                f"start facility {worst} at clearance {clearance[worst]:.6g} < {dmin}"
-            )
-
-    x, w = instance.demand_xy, instance.weights
-    c, obj = assign(fac, instance)
-    trace = [obj]
-    for _ in range(max_rounds):
-        fac = _weber_clusters(x, w, c, fac, instance, dmin, tree, tol, max_iter)
-        c, new_obj = assign(fac, instance)
-        if not new_obj <= obj + 1e-9 * max(1.0, obj):  # a NaN objective fails too
-            raise RefineMonotonicityError(
-                f"objective rose from {obj:.17g} to {new_obj:.17g} within a round"
-            )
-        trace.append(new_obj)
-        done = obj - new_obj < tol * max(obj, 1e-300)
-        obj = new_obj
-        if done:
-            break
-    return ContinuousSolution(
-        facilities=fac, assignment=c, objective=obj, feasible=True, trace=trace
-    )
+    return refine_many(instance, dmin, [start], tol, max_rounds, max_iter)[0]
 
 
 def multistart_random(
@@ -247,7 +347,8 @@ def multistart_random(
     pool_attempts: int = 100_000,
     tol: float = TOL_REFINE,
 ) -> ContinuousSolution:
-    """Best refine result over `tries` random feasible p-tuples.
+    """Best refine result over `tries` random feasible p-tuples (the first
+    of equal objectives), all descended in one batch.
 
     The start pool is the feasible subset of `pool_attempts` uniform box
     samples; raises NoFeasibleSampleError when that subset is empty.
@@ -259,13 +360,9 @@ def multistart_random(
     if len(pool) < 1:
         raise NoFeasibleSampleError(f"no feasible point in {pool_attempts} samples")
     rng = np.random.default_rng(seed)
-    best: ContinuousSolution | None = None
-    for _ in range(tries):
-        idx = rng.choice(len(pool), size=p, replace=len(pool) < p)
-        sol = refine(instance, dmin, pool[idx], tol=tol)
-        if best is None or sol.objective < best.objective:
-            best = sol
-    return best
+    starts = [pool[rng.choice(len(pool), size=p, replace=len(pool) < p)]
+              for _ in range(tries)]
+    return min(refine_many(instance, dmin, starts, tol=tol), key=lambda s: s.objective)
 
 
 def write_trace_csv(solution: ContinuousSolution, path) -> None:

@@ -177,3 +177,35 @@ class TestSampleFeasible:
         u = Lcg64(123).uniforms(10000)
         assert ((u >= 0) & (u < 1)).all()
         assert 0.45 < u.mean() < 0.55
+
+
+def scalar_lcg(state: int, count: int) -> tuple[np.ndarray, int]:
+    """The generator's recurrence one Python-int step at a time."""
+    out = np.empty(count)
+    for i in range(count):
+        state = (Lcg64.MULTIPLIER * state + Lcg64.INCREMENT) & Lcg64.MASK
+        out[i] = (state >> 11) / 9007199254740992.0  # 2^53
+    return out, state
+
+
+class TestLcg64JumpAhead:
+    """The block-at-a-time stream against the scalar recurrence."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 17, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("count", [1, Lcg64.BLOCK - 1, Lcg64.BLOCK, Lcg64.BLOCK + 1,
+                                       200_000])
+    def test_matches_scalar_recurrence(self, seed, count):
+        rng = Lcg64(seed)
+        expected, state = scalar_lcg(rng.state, count)
+        assert np.array_equal(rng.uniforms(count), expected)
+        assert rng.state == state
+
+    @pytest.mark.parametrize("seed", [0, 17, 2**63 + 12345])
+    def test_calls_split_across_the_stream(self, seed):
+        rng = Lcg64(seed)
+        expected, state = scalar_lcg(rng.state, 3 * Lcg64.BLOCK + 7)
+        sizes = [0, 1, Lcg64.BLOCK - 2, 5, Lcg64.BLOCK, Lcg64.BLOCK + 1, 0, 2]
+        assert sum(sizes) == len(expected)
+        got = np.concatenate([rng.uniforms(k) for k in sizes])
+        assert np.array_equal(got, expected)
+        assert rng.state == state

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -227,6 +228,59 @@ class TestLocalSearchOracle:
             matrix = build_matrix(inst, feasible_candidates(inst, dmin))
             for seed in (0, 1):
                 assert_matches_reference(monkeypatch, matrix, inst.weights, p, starts, seed)
+
+
+class AggregateCheckingRng:
+    """Stands in for `_local_search`'s rng. Each `permutation` call comes once
+    per swap iteration, after the deltas are formed; the stub then rebuilds
+    gain, loss and extra from scratch for the search's current selection and
+    compares them with the live arrays in the caller's frame."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.checks = 0
+
+    def permutation(self, n):
+        live = inspect.currentframe().f_back.f_locals
+        d, w, cols = live["d"], live["weights"], live["cols"]
+        p = len(cols)
+        sub = d[:, cols]
+        s1 = np.argmin(sub, axis=1)  # a tie adds 0 to loss and extra either way
+        pair = np.sort(sub, axis=1)[:, :2]
+        d1, d2 = pair[:, 0], pair[:, 1]
+        onehot = (s1[:, None] == np.arange(p)[None, :]) * w[:, None]
+        gain = w @ np.maximum(d1[:, None] - d, 0.0)
+        loss = onehot.T @ (d2 - d1)
+        extra = onehot.T @ np.maximum(d2[:, None] - np.maximum(d, d1[:, None]), 0.0)
+        for name, rebuilt in (("gain", gain), ("loss", loss), ("extra", extra)):
+            np.testing.assert_allclose(live[name], rebuilt, rtol=1e-9, atol=1e-9,
+                                       err_msg=name)
+        self.checks += 1
+        return self.rng.permutation(n)
+
+
+class TestSwapAggregates:
+    def test_tied_random_matrices(self):
+        rng = np.random.default_rng(23)
+        checks = 0
+        for trial in range(200):
+            matrix, w = tied_problem(rng)
+            m = matrix.shape[1]
+            start = list(rng.choice(m, size=int(rng.integers(2, m)), replace=False))
+            stub = AggregateCheckingRng(trial)
+            got = discrete._local_search(matrix, w, start, stub)
+            ref = reference_local_search(matrix, w, start, np.random.default_rng(trial))
+            assert got[0] == ref[0], trial
+            checks += stub.checks
+        assert checks > 200
+
+    @pytest.mark.parametrize("p", [2, 5, 20])
+    def test_benchmark_matrix(self, inst100, p):
+        matrix = build_matrix(inst100, feasible_candidates(inst100, 0.95))
+        start = list(np.random.default_rng(p).choice(matrix.shape[1], size=p, replace=False))
+        stub = AggregateCheckingRng(p)
+        discrete._local_search(matrix, inst100.weights, start, stub)
+        assert stub.checks > 1
 
 
 class TestSolveInterchange:

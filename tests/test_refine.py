@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
-from voromedian.candidates import nearest_obnoxious
+from voromedian.candidates import nearest_obnoxious, sample_feasible
 from voromedian.geometry import BoundingBox
 from voromedian.instances import Instance
 from voromedian.refine import (
@@ -15,7 +16,11 @@ from voromedian.refine import (
     constrained_weber,
     multistart_random,
     refine,
+    refine_many,
 )
+
+# the package re-exports the function `refine` under the module's name
+refine_mod = importlib.import_module("voromedian.refine")
 
 
 def blocked_pair_instance():
@@ -170,12 +175,13 @@ class TestRefine:
         inst = Instance(demand_xy=[[1, 1], [9, 9]], weights=[1, 1],
                         obnoxious_xy=[[5, 5]], box=BoundingBox(0, 0, 10, 10))
         # a descent step that moves every facility farther from its demand
-        # the package re-exports the function `refine` under the module's name
-        refine_mod = importlib.import_module("voromedian.refine")
         monkeypatch.setattr(refine_mod, "_weber_clusters",
                             lambda x, w, c, fac, *args: fac + 0.5)
         with pytest.raises(RefineMonotonicityError, match="objective rose"):
             refine(inst, 1.0, [[1, 1], [9, 9]])
+        # the check runs per start inside a batch too
+        with pytest.raises(RefineMonotonicityError, match="start 0: objective rose"):
+            refine_many(inst, 1.0, [[[1, 1], [9, 9]], [[1, 1], [8, 8]]])
 
     def test_local_optimum_is_fixed_point(self):
         inst = Instance(demand_xy=[[1, 1], [9, 9]], weights=[1, 1],
@@ -228,3 +234,212 @@ class TestMultistartRandom:
             d = np.hypot(pts[:, 0, None] - xs[None, :], pts[:, 1, None] - y)
             best = min(best, float((w @ d).min()))
         assert sol.objective <= best + 1e-3
+
+
+# --- Reference: the one-start-at-a-time descent the batched one replaced ---
+
+def reference_feasibility_fix(points, instance, dmin, tree, degenerate_hits):
+    pts = instance.box.clamp(points)
+    if tree is None or dmin <= 0:
+        return pts, np.ones(len(pts), dtype=bool)
+    for _ in range(refine_mod.MAX_PROJECTIONS):
+        dist, nearest = tree.query(pts)
+        bad = dist < dmin - refine_mod.FEAS_TOL
+        if not bad.any():
+            return pts, np.ones(len(pts), dtype=bool)
+        centers = tree.data[nearest[bad]]
+        offset = pts[bad] - centers
+        norm = np.hypot(offset[:, 0], offset[:, 1])
+        degenerate = norm < 1e-300
+        degenerate_hits.append(int(degenerate.sum()))
+        offset[degenerate] = (1.0, 0.0)
+        norm[degenerate] = 1.0
+        pts[bad] = centers + dmin * offset / norm[:, None]
+        pts = instance.box.clamp(pts)
+    dist, _ = tree.query(pts)
+    return pts, dist >= dmin - refine_mod.FEAS_TOL
+
+
+def reference_cluster_costs(x, w, c, facilities, p):
+    diff = x - facilities[c]
+    return np.bincount(c, weights=w * np.hypot(diff[:, 0], diff[:, 1]), minlength=p)
+
+
+def reference_weber_clusters(x, w, c, facilities, instance, dmin, tree, tol, max_iter,
+                             degenerate_hits):
+    p = len(facilities)
+    fac = np.array(facilities, dtype=float)
+    obj = reference_cluster_costs(x, w, c, fac, p)
+    lam = np.ones(p)
+    halvings = np.zeros(p, dtype=int)
+    active = np.bincount(c, minlength=p) > 0
+    for _ in range(max_iter):
+        if not active.any():
+            break
+        member = active[c]
+        xi, wi, ci = x[member], w[member], c[member]
+        diff = xi - fac[ci]
+        dist = np.hypot(diff[:, 0], diff[:, 1])
+        coincident = dist < 1e-9
+        u = wi / np.maximum(dist, 1e-12)
+        u[coincident] = 0.0
+        den = np.bincount(ci, weights=u, minlength=p)
+        num_x = np.bincount(ci, weights=u * xi[:, 0], minlength=p)
+        num_y = np.bincount(ci, weights=u * xi[:, 1], minlength=p)
+        target = fac.copy()
+        ok = den > 0
+        target[ok] = np.column_stack([num_x[ok], num_y[ok]]) / den[ok, None]
+        if coincident.any():
+            anchored = np.bincount(ci[coincident], minlength=p).astype(bool)
+            w_anchor = np.bincount(ci[coincident], weights=wi[coincident], minlength=p)
+            pull_x = np.bincount(ci, weights=u * diff[:, 0], minlength=p)
+            pull_y = np.bincount(ci, weights=u * diff[:, 1], minlength=p)
+            pull = np.hypot(pull_x, pull_y)
+            stuck = anchored & (pull <= w_anchor + 1e-15)
+            active[stuck] = False
+            escape = active & anchored & ok
+            eta = np.zeros(p)
+            eta[escape] = w_anchor[escape] / pull[escape]
+            target[escape] = (
+                eta[escape, None] * fac[escape]
+                + (1.0 - eta[escape, None]) * target[escape]
+            )
+        proposal = fac + lam[:, None] * (target - fac)
+        proposal, feas = reference_feasibility_fix(proposal, instance, dmin, tree,
+                                                   degenerate_hits)
+        new_obj = reference_cluster_costs(x, w, c, proposal, p)
+        rel_gain = (obj - new_obj) / np.maximum(obj, 1e-300)
+        accept = active & feas & (new_obj < obj)
+        fac[accept] = proposal[accept]
+        obj[accept] = new_obj[accept]
+        lam[accept] = 1.0
+        halvings[accept] = 0
+        active[accept & (rel_gain < tol)] = False
+        reject = active & ~accept
+        lam[reject] *= 0.5
+        halvings[reject] += 1
+        active[reject & (halvings >= refine_mod.MAX_HALVINGS)] = False
+    return fac
+
+
+def reference_refine(instance, dmin, start, degenerate_hits=None):
+    hits = [] if degenerate_hits is None else degenerate_hits
+    fac = np.atleast_2d(np.asarray(start, dtype=float)).copy()
+    tree = cKDTree(instance.obnoxious_xy) if instance.n_obnoxious else None
+    x, w = instance.demand_xy, instance.weights
+    c, obj = assign(fac, instance)
+    trace = [obj]
+    for _ in range(refine_mod.MAX_ROUNDS):
+        fac = reference_weber_clusters(x, w, c, fac, instance, dmin, tree,
+                                       refine_mod.TOL_REFINE, refine_mod.MAX_WEBER_ITER, hits)
+        c, new_obj = assign(fac, instance)
+        trace.append(new_obj)
+        done = obj - new_obj < refine_mod.TOL_REFINE * max(obj, 1e-300)
+        obj = new_obj
+        if done:
+            break
+    return fac, c, obj, trace
+
+
+def reference_multistart(instance, dmin, p, tries, seed):
+    pool, _ = sample_feasible(instance, dmin, count=100_000, seed=seed, max_attempts=100_000)
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(tries):
+        idx = rng.choice(len(pool), size=p, replace=len(pool) < p)
+        sol = reference_refine(instance, dmin, pool[idx])
+        if best is None or sol[2] < best[2]:
+            best = sol
+    return best
+
+
+def assert_batch_matches_reference(instance, dmin, starts, degenerate_hits=None):
+    sols = refine_many(instance, dmin, starts)
+    assert len(sols) == len(starts)
+    for k, (start, sol) in enumerate(zip(starts, sols)):
+        fac, c, obj, trace = reference_refine(instance, dmin, start, degenerate_hits)
+        assert np.array_equal(sol.facilities, fac), k
+        assert np.array_equal(sol.assignment, c), k
+        assert sol.objective == obj, k
+        assert sol.trace == trace, k
+    return sols
+
+
+class TestRefineManyOracle:
+    """The lockstep batch against the one-start-at-a-time descent: every
+    start's facilities, assignment, objective and trace are bit-equal."""
+
+    @pytest.mark.parametrize("p", [1, 3, 15])
+    def test_n100_feasible_starts(self, inst100, p):
+        pts, _ = sample_feasible(inst100, 0.95, count=6 * p, seed=p)
+        starts = list(pts.reshape(6, p, 2))
+        sols = assert_batch_matches_reference(inst100, 0.95, starts)
+        if p == 15:
+            # starts leave the batch in different rounds
+            assert len({len(s.trace) for s in sols}) > 1
+
+    def test_n1000_p20(self, inst1000):
+        pts, _ = sample_feasible(inst1000, 0.3, count=60, seed=3)
+        assert_batch_matches_reference(inst1000, 0.3, list(pts.reshape(3, 20, 2)))
+
+    def test_unconstrained(self, inst100):
+        rng = np.random.default_rng(2)
+        starts = [inst100.demand_xy[rng.choice(100, size=5, replace=False)]
+                  for _ in range(4)]
+        assert_batch_matches_reference(inst100, 0.0, starts)
+
+    def test_empty_cluster(self):
+        inst = Instance(demand_xy=[[1, 1], [1, 2], [2, 1]], weights=[1, 2, 1],
+                        obnoxious_xy=[[9, 9]], box=BoundingBox(0, 0, 10, 10))
+        starts = [[[1.0, 1.5], [8.0, 1.0]], [[8.0, 1.0], [1.5, 1.5]], [[1, 1], [2, 2]]]
+        sols = assert_batch_matches_reference(inst, 0.5, starts)
+        assert np.array_equal(sols[0].facilities[1], (8.0, 1.0))
+        assert np.array_equal(sols[1].facilities[0], (8.0, 1.0))
+
+    def test_duplicate_starts_first_wins(self, inst100, monkeypatch):
+        pts, _ = sample_feasible(inst100, 0.95, count=4, seed=11)
+        sols = assert_batch_matches_reference(inst100, 0.95, [pts, pts.copy(), pts])
+        assert sols[0].objective == sols[1].objective == sols[2].objective
+        # multistart keeps the first of equal objectives
+        tagged = [refine_mod.ContinuousSolution(np.full((3, 2), k), np.zeros(100, int),
+                                                obj, True, [obj])
+                  for k, obj in enumerate([5.0, 4.0, 4.0, 6.0])]
+        monkeypatch.setattr(refine_mod, "refine_many", lambda *a, **k: tagged)
+        best = multistart_random(inst100, 0.95, p=3, tries=4, seed=1)
+        assert best is tagged[1]
+
+    def test_target_on_protected_point(self):
+        # a lone demand point that is itself protected: the first Weiszfeld
+        # proposal lands exactly on it (u = 0.5 makes the target exact), so
+        # the projection has no direction and takes +x
+        inst = Instance(demand_xy=[[5, 5], [1, 1], [9, 2]], weights=[2, 1, 1],
+                        obnoxious_xy=[[5, 5]], box=BoundingBox(0, 0, 10, 10))
+        starts = [[[5, 9], [1, 3], [9, 3]], [[5, 1], [1, 2], [9, 5]], [[5, 9], [2, 2], [8, 2]]]
+        hits = []
+        sols = assert_batch_matches_reference(inst, 1.5, starts, hits)
+        assert sum(hits) >= 2
+        # the +x side of the exclusion circle, to within the feasibility tolerance
+        assert np.allclose(sols[0].facilities[0], (6.5, 5.0), rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_multistart_matches_sequential_loop(self, inst100, seed):
+        fac, c, obj, trace = reference_multistart(inst100, 0.95, 3, tries=6, seed=seed)
+        sol = multistart_random(inst100, 0.95, p=3, tries=6, seed=seed)
+        assert np.array_equal(sol.facilities, fac)
+        assert np.array_equal(sol.assignment, c)
+        assert sol.objective == obj
+        assert sol.trace == trace
+
+
+class TestRefineManyErrors:
+    def test_infeasible_start_named_before_any_descent(self, inst100, monkeypatch):
+        calls = []
+        monkeypatch.setattr(refine_mod, "_weber_clusters", lambda *a: calls.append(1))
+        good, _ = sample_feasible(inst100, 1.0, count=2, seed=3)
+        bad = np.array([good[0], inst100.obnoxious_xy[0]])
+        with pytest.raises(InfeasibleStartError, match="start 1: facility 1"):
+            refine_many(inst100, 1.0, [good, bad, good])
+        assert calls == []
+
+    def test_empty_batch(self, inst100):
+        assert refine_many(inst100, 1.0, []) == []

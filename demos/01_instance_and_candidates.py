@@ -18,19 +18,24 @@ print(f"instance: {inst.n_demand} demand points in a "
       f"protected set = demand set")
 print(f"first points: {inst.demand_xy[:3].tolist()}")
 
-all_vertices = feasible_candidates(inst, 0.0)
-print(f"\n{len(all_vertices)} candidate vertices in total")
+all_xy, _ = feasible_candidates(inst, 0.0)
+print(f"\n{len(all_xy)} candidate vertices in total")
 
 dmin = 0.95
-cands = feasible_candidates(inst, dmin)
-print(f"{len(cands)} candidates keep a clearance of at least {dmin} miles\n")
+xy, clearance = feasible_candidates(inst, dmin)  # (m, 2) and (m,) arrays
+print(f"{len(xy)} candidates keep a clearance of at least {dmin} miles\n")
+
+
+
+def print_rows(rows):
+    for i in rows:
+        print(f"   {i + 1:2d}  {xy[i, 0]:8.5f}  {xy[i, 1]:8.5f}   {clearance[i]:.5f}")
+
 
 print(" rank        x         y   clearance")
-for i, c in enumerate(cands[:10], start=1):
-    print(f"   {i:2d}  {c.x:8.5f}  {c.y:8.5f}   {c.d_nearest:.5f}")
+print_rows(range(10))
 print("  ...")
-for i, c in enumerate(cands[-2:], start=len(cands) - 1):
-    print(f"   {i:2d}  {c.x:8.5f}  {c.y:8.5f}   {c.d_nearest:.5f}")
+print_rows(range(len(xy) - 2, len(xy)))
 
-write_candidates_csv(cands, "candidates_n100.csv")
+write_candidates_csv(xy, clearance, "candidates_n100.csv")
 print("\nwrote candidates_n100.csv")

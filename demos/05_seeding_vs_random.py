@@ -8,23 +8,17 @@ even with many more tries.
 Run: python demos/05_seeding_vs_random.py  (a few minutes)
 """
 
-import numpy as np
-
-from voromedian import feasible_candidates, generate, multistart_random, refine
-from voromedian.candidates import candidates_xy
-from voromedian.discrete import build_matrix, solve_interchange
+from voromedian import feasible_candidates, generate, multistart_random, solve_one
 
 inst = generate(100)
 dmin = 0.95
-cands = feasible_candidates(inst, dmin)
-matrix = build_matrix(inst, cands)
-xy = candidates_xy(cands)
+xy, _ = feasible_candidates(inst, dmin)
 
-print(f"n=100, clearance {dmin}, {len(cands)} candidates\n")
+print(f"n=100, clearance {dmin}, {len(xy)} candidates\n")
 print("  p   seeded   random(100 tries)    gap")
 for p in (2, 5, 10, 15, 20):
-    discrete = solve_interchange(matrix, inst.weights, p, starts=100, seed=1)
-    seeded = refine(inst, dmin, xy[list(discrete.selected)])
+    # interchange over the candidates, then refine from the selected sites
+    seeded = solve_one(inst, p, dmin, mode="heuristic", starts=100, seed=1)
     rand = multistart_random(inst, dmin, p, tries=100, seed=7)
     gap = (rand.objective - seeded.objective) / seeded.objective
     print(f" {p:2d}  {seeded.objective:7.2f}        {rand.objective:7.2f}     "

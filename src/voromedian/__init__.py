@@ -9,7 +9,6 @@ clearance requirement yields the efficient frontier.
 __version__ = "0.1.0"
 
 from .candidates import (
-    CandidateSite,
     TriangleAreaReport,
     feasible_candidates,
     nearest_obnoxious,
@@ -52,7 +51,6 @@ from .refine import (
 
 __all__ = [
     "BoundingBox",
-    "CandidateSite",
     "ContinuousSolution",
     "DiscreteSolution",
     "FrontierRecord",

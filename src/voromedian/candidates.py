@@ -3,7 +3,8 @@
 A candidate site is a vertex of the protected-point Voronoi diagram clipped
 to the instance box, annotated with its clearance (distance to the nearest
 protected point). A candidate is feasible for a minimum-distance requirement
-`dmin` when its clearance is at least `dmin`.
+`dmin` when its clearance is at least `dmin`. Candidates are held as two
+arrays, `(xy, clearance)`, from the Voronoi step to the distance matrix.
 
 Also provides closed-form area/reach estimates for the small feasible pocket
 around a candidate whose clearance barely exceeds the requirement (three
@@ -25,20 +26,6 @@ from .instances import Instance
 
 class EmptyObnoxiousSetError(ValueError):
     """Clearance queried against an instance with no protected points."""
-
-
-@dataclass
-class CandidateSite:
-    location: tuple[float, float]
-    d_nearest: float  # clearance: distance to the closest protected point
-
-    @property
-    def x(self) -> float:
-        return self.location[0]
-
-    @property
-    def y(self) -> float:
-        return self.location[1]
 
 
 @dataclass
@@ -80,34 +67,25 @@ def candidate_vertices(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
     return verts, clearance
 
 
-def feasible_candidates(instance: Instance, dmin: float) -> list[CandidateSite]:
+def feasible_candidates(instance: Instance, dmin: float) -> tuple[np.ndarray, np.ndarray]:
     """Candidate sites whose clearance is >= dmin, best-cleared first.
 
-    May be empty: for large dmin no vertex survives the filter.
+    Returns (xy, clearance): an (m, 2) coordinate array and the (m,)
+    clearances. May be empty: for large dmin no vertex survives the filter.
     """
     if dmin < 0:
         raise ValueError("dmin must be >= 0")
     verts, clearance = candidate_vertices(instance)
     keep = clearance >= dmin
-    return [
-        CandidateSite(location=(float(x), float(y)), d_nearest=float(c))
-        for (x, y), c in zip(verts[keep], clearance[keep])
-    ]
+    return verts[keep], clearance[keep]
 
 
-def candidates_xy(sites: list[CandidateSite]) -> np.ndarray:
-    """(m, 2) coordinate array of a candidate list."""
-    if not sites:
-        return np.empty((0, 2))
-    return np.array([[s.x, s.y] for s in sites])
-
-
-def write_candidates_csv(sites: list[CandidateSite], path) -> None:
-    """Candidate list export: header `x,y,d_nearest`, full precision."""
+def write_candidates_csv(xy: np.ndarray, clearance: np.ndarray, path) -> None:
+    """Candidate export: header `x,y,d_nearest`, full precision."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,y,d_nearest\n")
-        for s in sites:
-            fh.write(f"{s.x:.17g},{s.y:.17g},{s.d_nearest:.17g}\n")
+        for (x, y), c in zip(xy.tolist(), clearance.tolist()):
+            fh.write(f"{x:.17g},{y:.17g},{c:.17g}\n")
 
 
 def triangle_feasible_area(dmin: float, d_nearest: float) -> TriangleAreaReport:

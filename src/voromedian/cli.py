@@ -7,8 +7,12 @@ Subcommands:
   frontier    clearance sweep, as CSV plus an SVG chart
   baseline    candidate-seeded vs random-feasible multistart comparison
 
-Exit codes: 0 success; 2 usage; 3 infeasible or empty result; 4 I/O or
-parse failure; 5 exact mode finished without an optimality proof.
+Exit codes: 0 success; 2 usage; 3 infeasible or empty result; 4 I/O, parse
+or degenerate-instance failure (collinear, coinciding or no protected
+points); 5 exact mode finished without an optimality proof.
+
+Every solve goes through `frontier.solve_one`; `solve` reports both stages
+of its record.
 
 The solve/baseline JSON reports carry full-precision numbers; stdout
 summaries round to 2 decimals. Every command is deterministic given its
@@ -24,10 +28,10 @@ import sys
 
 import numpy as np
 
-from . import __version__, frontier
-from .candidates import candidates_xy, feasible_candidates, write_candidates_csv
+from . import __version__
+from .candidates import EmptyObnoxiousSetError, feasible_candidates, write_candidates_csv
 from .charts import write_line_chart
-from .discrete import InfeasibleCardinalityError, build_matrix
+from .discrete import InfeasibleCardinalityError
 from .frontier import (
     NoFeasibleCandidatesError,
     default_grid,
@@ -35,8 +39,9 @@ from .frontier import (
     sweep,
     write_frontier_csv,
 )
+from .geometry import CollinearSitesError, DuplicateSitesError
 from .instances import InstanceParseError, generate, read_instance, write_instance
-from .refine import NoFeasibleSampleError, multistart_random, refine
+from .refine import NoFeasibleSampleError, multistart_random
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -122,24 +127,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_generate(args) -> int:
-    if args.n > 1000:
-        print("error: --n must be at most 1000", file=sys.stderr)
+    try:
+        instance = generate(args.n)
+    except ValueError as exc:
+        print(f"error: --n: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    write_instance(generate(args.n), args.out)
+    write_instance(instance, args.out)
     print(f"wrote {args.out} (n={args.n})")
     return EXIT_OK
 
 
 def cmd_candidates(args) -> int:
     instance = read_instance(args.instance)
-    sites = feasible_candidates(instance, args.dmin)
-    write_candidates_csv(sites, args.out)
-    print(f"m={len(sites)}")
+    xy, clearance = feasible_candidates(instance, args.dmin)
+    write_candidates_csv(xy, clearance, args.out)
+    print(f"m={len(xy)}")
     return EXIT_OK
 
 
 def cmd_solve(args) -> int:
     instance = read_instance(args.instance)
+    record = solve_one(instance, args.p, args.dmin, mode=args.mode, starts=args.starts,
+                       seed=args.seed, node_budget=args.node_budget,
+                       unconstrained_tries=args.starts)
+    dsol = record.discrete
     report = {
         "command": "solve",
         "instance": args.instance,
@@ -147,50 +158,32 @@ def cmd_solve(args) -> int:
         "p": args.p,
         "mode": args.mode,
         "seed": args.seed,
-        "m": None,
-        "discrete": None,
-        "refined": None,
-    }
-    unproven_exact = False
-    if args.dmin > 0:
-        sites = feasible_candidates(instance, args.dmin)
-        report["m"] = len(sites)
-        if len(sites) == 0:
-            raise NoFeasibleCandidatesError(f"no candidate clears {args.dmin}")
-        if len(sites) < args.p:
-            raise InfeasibleCardinalityError(f"{len(sites)} candidates < p={args.p}")
-        matrix = build_matrix(instance, sites)
-        dsol = frontier._discrete_stage(matrix, instance.weights, args.p, args.mode,
-                                        args.starts, args.seed, args.node_budget)
-        xy = candidates_xy(sites)
-        rsol = refine(instance, args.dmin, xy[list(dsol.selected)])
-        report["discrete"] = {
+        "m": record.candidate_count,
+        "discrete": None if dsol is None else {
             "objective": dsol.objective,
             "selected": list(dsol.selected),
-            "sites": xy[list(dsol.selected)].tolist(),
+            "sites": dsol.sites.tolist(),
             "proven": dsol.proven,
-        }
-        print(f"m={len(sites)}")
+        },
+        "refined": {
+            "objective": record.objective,
+            "facilities": record.facilities.tolist(),
+            "assignment": record.assignment.tolist(),
+            "trace": record.trace,
+        },
+    }
+    if dsol is None:
+        print("unconstrained mode (dmin=0)")
+    else:
+        print(f"m={record.candidate_count}")
         print(f"discrete objective: {dsol.objective:.2f}"
               + (" (proven optimal over candidates)" if dsol.proven else " (heuristic)"))
-        unproven_exact = args.mode == "exact" and not dsol.proven
-    else:
-        record = solve_one(instance, args.p, 0.0, seed=args.seed,
-                           unconstrained_tries=args.starts)
-        report["m"] = record.candidate_count
-        rsol = refine(instance, 0.0, record.facilities)
-        print("unconstrained mode (dmin=0)")
-    report["refined"] = {
-        "objective": rsol.objective,
-        "facilities": rsol.facilities.tolist(),
-        "assignment": rsol.assignment.tolist(),
-        "trace": rsol.trace,
-    }
-    print(f"refined objective: {rsol.objective:.2f}")
+    print(f"refined objective: {record.objective:.2f}")
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
     print(f"wrote {args.out}")
+    unproven_exact = args.mode == "exact" and dsol is not None and not dsol.proven
     return EXIT_UNPROVEN if unproven_exact else EXIT_OK
 
 
@@ -272,6 +265,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except (CollinearSitesError, DuplicateSitesError, EmptyObnoxiousSetError) as exc:
+        print(f"error: degenerate instance: {exc}", file=sys.stderr)
         return EXIT_IO
     except (NoFeasibleCandidatesError, InfeasibleCardinalityError,
             NoFeasibleSampleError) as exc:

@@ -5,6 +5,7 @@ demand row's distance to its closest selected column. Solved exactly by
 chunked enumeration of p-subsets when C(m, p) is small, by best-first
 branch-and-bound with an assignment-relaxation bound otherwise, and
 heuristically by multistart greedy construction plus vertex substitution.
+`solve` is the stage's entry point: it picks between the two by mode.
 
 The substitution search evaluates swaps incrementally after Resende &
 Werneck (2007), "A fast swap-based local search procedure for location
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .candidates import CandidateSite, candidates_xy
 from .instances import Instance
 
 ENUM_LIMIT = 10_000_000  # max p-subsets enumerated before switching to B&B
@@ -40,14 +40,16 @@ class DiscreteSolution:
     assignment: np.ndarray  # (nd,) column index of the serving facility
     objective: float
     proven: bool  # True when optimality was proven
+    sites: np.ndarray | None = None  # (p, 2) selected coordinates, when known
 
 
-def build_matrix(instance: Instance, candidates: list[CandidateSite]) -> np.ndarray:
-    """Dense (nd, m) Euclidean distance matrix demand x candidate."""
-    if instance.n_demand == 0 or not candidates:
-        raise ValueError("demand and candidate lists must be non-empty")
-    sites = candidates_xy(candidates)
-    diff = instance.demand_xy[:, None, :] - sites[None, :, :]
+def build_matrix(instance: Instance, xy: np.ndarray) -> np.ndarray:
+    """Dense (nd, m) Euclidean distance matrix demand x candidate, from an
+    (m, 2) array of candidate coordinates."""
+    xy = np.asarray(xy, dtype=float)
+    if instance.n_demand == 0 or len(xy) == 0:
+        raise ValueError("demand and candidate sets must be non-empty")
+    diff = instance.demand_xy[:, None, :] - xy[None, :, :]
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
@@ -80,8 +82,11 @@ def _enumerate_exact(matrix, weights, p) -> tuple[tuple[int, ...], float]:
         chunk = np.array(list(itertools.islice(combos, block)), dtype=int)
         if len(chunk) == 0:
             break
-        # (nd, B, p) gather -> min over the p columns -> weighted sum
-        objs = weights @ matrix[:, chunk].min(axis=2)
+        # running minimum over the p columns of each subset -> weighted sum
+        cur = matrix[:, chunk[:, 0]]
+        for j in range(1, p):
+            np.minimum(cur, matrix[:, chunk[:, j]], out=cur)
+        objs = weights @ cur
         k = int(np.argmin(objs))
         if objs[k] < best_obj:
             best_obj = float(objs[k])
@@ -316,3 +321,22 @@ def solve_interchange(
         ):
             best_obj, best_sel = obj, sel
     return evaluate(matrix, weights, best_sel)
+
+
+def solve(
+    matrix: np.ndarray,
+    weights,
+    p: int,
+    mode: str = "auto",
+    starts: int = 100,
+    seed: int = 0,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+) -> DiscreteSolution:
+    """The discrete stage by mode: "exact", "heuristic" (best of `starts`
+    interchange runs) or "auto", exact when the C(m, p) subsets can be
+    enumerated and heuristic otherwise."""
+    if mode not in ("auto", "exact", "heuristic"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "exact" or (mode == "auto" and math.comb(matrix.shape[1], p) <= ENUM_LIMIT):
+        return solve_exact(matrix, weights, p, node_budget=node_budget)
+    return solve_interchange(matrix, weights, p, starts=starts, seed=seed)

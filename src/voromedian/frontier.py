@@ -1,26 +1,30 @@
-"""Efficient-frontier sweep: best objective as a function of the minimum
-required clearance.
+"""The pipeline at one clearance, and the efficient-frontier sweep: best
+objective as a function of the minimum required clearance.
 
-For each requested clearance the pipeline filters candidate vertices, solves
-the discrete restriction (exact when the subset count is enumerable, best of
-100 interchange runs otherwise) and refines continuously from the selected
-sites. A zero clearance bypasses the candidate restriction entirely and runs
-an unconstrained multistart. Because the feasible candidate sets are nested
-(larger clearance, smaller set), any better solution found at a larger
-clearance is also feasible at every smaller one; a post-pass propagates such
-wins downward so the reported frontier is non-decreasing by construction.
+`solve_one` is the one pipeline; the CLI, the baseline comparison and the
+sweep all call it. It filters the candidate vertices (as arrays), solves the
+discrete restriction (`discrete.solve`: exact when the subset count is
+enumerable, best of 100 interchange runs otherwise) and refines continuously
+from the selected sites. Its record carries both stages: the discrete
+solution with its selected sites, and the refined facilities, assignment,
+objective and trace. A zero clearance bypasses the candidate restriction
+entirely and runs an unconstrained multistart, so its record has no discrete
+stage. Because the feasible candidate sets are nested (larger clearance,
+smaller set), any better solution found at a larger clearance is also
+feasible at every smaller one; a post-pass propagates such wins downward so
+the reported frontier is non-decreasing by construction.
 """
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import discrete, refine as refine_mod
-from .candidates import CandidateSite, candidate_vertices
+from .candidates import candidate_vertices
+from .discrete import DiscreteSolution
 from .instances import Instance
 
 DEFAULT_STARTS = 100
@@ -42,18 +46,9 @@ class FrontierRecord:
     repaired: bool = False
     repaired_from: float | None = None  # clearance the adopted solution was found at
     gap_reason: str | None = None
-
-
-def _discrete_stage(matrix, weights, p, mode, starts, seed, node_budget):
-    if mode == "exact":
-        return discrete.solve_exact(matrix, weights, p, node_budget=node_budget)
-    if mode == "heuristic":
-        return discrete.solve_interchange(matrix, weights, p, starts=starts, seed=seed)
-    if mode != "auto":
-        raise ValueError(f"unknown mode {mode!r}")
-    if math.comb(matrix.shape[1], p) <= discrete.ENUM_LIMIT:
-        return discrete.solve_exact(matrix, weights, p, node_budget=node_budget)
-    return discrete.solve_interchange(matrix, weights, p, starts=starts, seed=seed)
+    discrete: DiscreteSolution | None = None  # None at D = 0 and on a gap
+    assignment: np.ndarray | None = None  # (nd,) refined facility index per demand row
+    trace: list[float] | None = None  # refined objective per round
 
 
 def _unconstrained(instance: Instance, p: int, tries: int, seed: int):
@@ -107,10 +102,10 @@ def solve_one(
     m = int(keep.sum())
 
     if dmin == 0:
-        sol = _unconstrained(instance, p, unconstrained_tries, seed)
+        rsol = _unconstrained(instance, p, unconstrained_tries, seed)
         return FrontierRecord(
-            dmin=0.0, objective=sol.objective, facilities=sol.facilities,
-            candidate_count=m, proven=False,
+            dmin=0.0, objective=rsol.objective, facilities=rsol.facilities,
+            candidate_count=m, proven=False, assignment=rsol.assignment, trace=rsol.trace,
         )
 
     if m == 0:
@@ -119,14 +114,14 @@ def solve_one(
         raise discrete.InfeasibleCardinalityError(f"{m} candidates < p={p}")
 
     cand_xy = verts[keep]
-    cands = [CandidateSite(location=(float(x), float(y)), d_nearest=float(c))
-             for (x, y), c in zip(cand_xy, clearance[keep])]
-    matrix = discrete.build_matrix(instance, cands)
-    dsol = _discrete_stage(matrix, instance.weights, p, mode, starts, seed, node_budget)
-    rsol = refine_mod.refine(instance, dmin, cand_xy[list(dsol.selected)])
+    matrix = discrete.build_matrix(instance, cand_xy)
+    dsol = discrete.solve(matrix, instance.weights, p, mode, starts, seed, node_budget)
+    dsol.sites = cand_xy[list(dsol.selected)]
+    rsol = refine_mod.refine(instance, dmin, dsol.sites)
     return FrontierRecord(
         dmin=float(dmin), objective=rsol.objective, facilities=rsol.facilities,
-        candidate_count=m, proven=dsol.proven,
+        candidate_count=m, proven=dsol.proven, discrete=dsol,
+        assignment=rsol.assignment, trace=rsol.trace,
     )
 
 
@@ -185,8 +180,9 @@ def sweep(
 def _repair_envelope(records: list[FrontierRecord]) -> list[FrontierRecord]:
     """Propagate better large-clearance solutions down to smaller clearances
     (they remain feasible there), flagging replaced records. A repaired
-    record keeps its own `proven` flag and names the clearance its adopted
-    solution was found at."""
+    record adopts the donor's refined stage (facilities, assignment, trace),
+    keeps its own discrete stage and `proven` flag, and names the clearance
+    its adopted solution was found at."""
     best: FrontierRecord | None = None
     for rec in reversed(records):
         if rec.objective is None:
@@ -194,6 +190,7 @@ def _repair_envelope(records: list[FrontierRecord]) -> list[FrontierRecord]:
         if best is not None and best.objective < rec.objective:
             rec.objective = best.objective
             rec.facilities = best.facilities.copy()
+            rec.assignment, rec.trace = best.assignment, best.trace
             rec.repaired = True
             rec.repaired_from = best.dmin if best.repaired_from is None else best.repaired_from
         if best is None or rec.objective <= best.objective:

@@ -1,9 +1,10 @@
 """Planar primitives: circumcenters, Delaunay triangulation, and the vertex
 set of the Voronoi diagram clipped to a bounding box.
 
-Triangulation is delegated to Qhull (scipy.spatial.Delaunay); everything
-downstream only relies on the empty-circumcircle property, which the test
-suite verifies by brute force. The clipped Voronoi vertex set consists of
+Triangulation is delegated to Qhull (scipy.spatial.Delaunay) and kept as
+its `simplices` and `neighbors` arrays; everything downstream only relies on
+the empty-circumcircle property, which the test suite verifies by brute
+force. The clipped Voronoi vertex set consists of
 
   (i)  circumcenters of Delaunay triangles that lie inside or on the box,
   (ii) intersections of Voronoi edges (segments between circumcenters of
@@ -80,25 +81,10 @@ class DuplicateSitesError(ValueError):
 
 
 @dataclass
-class Triangle:
-    a: int
-    b: int
-    c: int
-
-    def indices(self) -> tuple[int, int, int]:
-        return (self.a, self.b, self.c)
-
-
-@dataclass
 class Triangulation:
     sites: np.ndarray  # (n, 2)
-    triangles: list[Triangle]
-    hull: list[int]  # site indices, counterclockwise
+    simplices: np.ndarray  # (T, 3) site indices per triangle
     neighbors: np.ndarray  # (T, 3); entry k = triangle opposite vertex k, -1 on hull
-
-    @property
-    def simplices(self) -> np.ndarray:
-        return np.array([t.indices() for t in self.triangles], dtype=int)
 
 
 def circumcenter(a, b, c) -> np.ndarray:
@@ -164,44 +150,11 @@ def delaunay(sites) -> Triangulation:
     if len(tri.coplanar):
         raise DuplicateSitesError(f"qhull dropped points {tri.coplanar[:, 0].tolist()}")
 
-    simplices = tri.simplices.astype(int)
-    triangles = [Triangle(*map(int, s)) for s in simplices]
-    hull = _ordered_hull(sites, simplices, tri.neighbors)
     return Triangulation(
         sites=sites,
-        triangles=triangles,
-        hull=hull,
+        simplices=tri.simplices.astype(int),
         neighbors=tri.neighbors.astype(int),
     )
-
-
-def _ordered_hull(sites, simplices, neighbors) -> list[int]:
-    """Counterclockwise hull walk starting from the lexicographically
-    smallest hull site. Includes sites lying on hull edges."""
-    adj: dict[int, list[int]] = {}
-    for t in range(len(simplices)):
-        for k in range(3):
-            if neighbors[t, k] == -1:
-                u = int(simplices[t, (k + 1) % 3])
-                v = int(simplices[t, (k + 2) % 3])
-                adj.setdefault(u, []).append(v)
-                adj.setdefault(v, []).append(u)
-    start = min(adj, key=lambda i: (sites[i, 0], sites[i, 1]))
-    hull = [start]
-    prev = None
-    while True:
-        nxts = [v for v in adj[hull[-1]] if v != prev]
-        nxt = nxts[0]
-        if nxt == start:
-            break
-        prev = hull[-1]
-        hull.append(nxt)
-    # enforce counterclockwise orientation
-    pts = sites[hull]
-    area2 = np.sum(pts[:, 0] * np.roll(pts[:, 1], -1) - np.roll(pts[:, 0], -1) * pts[:, 1])
-    if area2 < 0:
-        hull = [hull[0]] + hull[1:][::-1]
-    return hull
 
 
 def _clip_to_box(p0: np.ndarray, direction: np.ndarray, t_lo: float, t_hi: float,

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voromedian.candidates import (
     EmptyObnoxiousSetError,
@@ -12,7 +13,8 @@ from voromedian.candidates import (
     triangle_feasible_area,
     write_candidates_csv,
 )
-from voromedian.geometry import BoundingBox, voronoi_vertices
+from voromedian.frontier import solve_one
+from voromedian.geometry import BoundingBox, CollinearSitesError, voronoi_vertices
 from voromedian.instances import Instance
 
 
@@ -44,41 +46,40 @@ class TestNearestObnoxious:
 
 class TestFeasibleCandidates:
     def test_large_dmin_empty(self, inst100):
-        assert feasible_candidates(inst100, 1.7) == []
+        xy, clearance = feasible_candidates(inst100, 1.7)
+        assert xy.shape == (0, 2) and clearance.shape == (0,)
 
     def test_zero_dmin_returns_every_vertex(self, inst100):
         verts = voronoi_vertices(inst100.obnoxious_xy, inst100.box)
-        assert len(feasible_candidates(inst100, 0.0)) == len(verts)
+        assert len(feasible_candidates(inst100, 0.0)[0]) == len(verts)
 
     def test_monotone_nesting(self, inst100):
-        small = {c.location for c in feasible_candidates(inst100, 0.8)}
-        large = {c.location for c in feasible_candidates(inst100, 1.2)}
+        small = set(map(tuple, feasible_candidates(inst100, 0.8)[0].tolist()))
+        large = set(map(tuple, feasible_candidates(inst100, 1.2)[0].tolist()))
         assert large <= small
 
     def test_sorted_descending_with_xy_ties(self, inst100):
-        cands = feasible_candidates(inst100, 0.5)
-        keys = [(-c.d_nearest, c.x, c.y) for c in cands]
+        xy, clearance = feasible_candidates(inst100, 0.5)
+        keys = [(-c, x, y) for (x, y), c in zip(xy.tolist(), clearance.tolist())]
         assert keys == sorted(keys)
 
     def test_clearances_are_exact(self, inst100):
-        for c in feasible_candidates(inst100, 1.2):
-            assert c.d_nearest == pytest.approx(
-                nearest_obnoxious(c.location, inst100), abs=1e-9
-            )
+        for q, c in zip(*feasible_candidates(inst100, 1.2)):
+            assert c == pytest.approx(nearest_obnoxious(q, inst100), abs=1e-9)
 
     def test_negative_dmin_rejected(self, inst100):
         with pytest.raises(ValueError):
             feasible_candidates(inst100, -0.1)
 
     def test_csv_export(self, tmp_path, inst100):
-        cands = feasible_candidates(inst100, 1.3)
+        xy, clearance = feasible_candidates(inst100, 1.3)
         path = tmp_path / "c.csv"
-        write_candidates_csv(cands, path)
+        write_candidates_csv(xy, clearance, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "x,y,d_nearest"
-        assert len(lines) == len(cands) + 1
+        assert len(lines) == len(xy) + 1
         x, y, d = map(float, lines[1].split(","))
-        assert (x, y, d) == (cands[0].x, cands[0].y, cands[0].d_nearest)
+        assert (x, y, d) == (xy[0, 0], xy[0, 1], clearance[0])
 
 
 class TestTriangleFeasibleArea:
@@ -209,3 +210,134 @@ class TestLcg64JumpAhead:
         got = np.concatenate([rng.uniforms(k) for k in sizes])
         assert np.array_equal(got, expected)
         assert rng.state == state
+
+
+# Degenerate-geometry property suites. Example generation is derandomized so
+# that every run of the suite sees the same inputs.
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=50)
+
+# box corners and side lengths on a quarter grid, so that points placed on a
+# side are exactly on it
+quarters = st.integers(-8, 8).map(lambda k: k / 4)
+sides = st.integers(4, 60).map(lambda k: k / 4)
+
+
+@st.composite
+def boxes(draw):
+    x0, y0 = draw(quarters), draw(quarters)
+    return BoundingBox(x0, y0, x0 + draw(sides), y0 + draw(sides))
+
+
+def uniform_points(rng, box, count):
+    lo, hi = np.array([box.xmin, box.ymin]), np.array([box.xmax, box.ymax])
+    return np.clip(lo + rng.random((count, 2)) * (hi - lo), lo, hi)
+
+
+@st.composite
+def lattice_instances(draw):
+    """A square lattice: every cell's four corners are cocircular."""
+    k = draw(st.integers(2, 6))
+    step = draw(st.integers(1, 8)) / 4
+    x0, y0 = draw(quarters), draw(quarters)
+    margin = draw(st.integers(0, 8)) / 4
+    i, j = np.meshgrid(np.arange(k), np.arange(k))
+    pts = np.column_stack([x0 + step * i.ravel(), y0 + step * j.ravel()])
+    span = step * (k - 1)
+    box = BoundingBox(x0 - margin, y0 - margin, x0 + span + margin, y0 + span + margin)
+    return Instance(demand_xy=pts, weights=np.ones(len(pts)), obnoxious_xy=pts, box=box)
+
+
+@st.composite
+def boundary_instances(draw):
+    """Points on all four box sides (corners optional) plus a few inside."""
+    box = draw(boxes())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    per_side = draw(st.integers(1, 4))
+    t = rng.random((4, per_side))
+    xs = box.xmin + t[0] * (box.xmax - box.xmin)
+    ys = box.ymin + t[1] * (box.ymax - box.ymin)
+    pts = [np.column_stack([xs, np.full(per_side, box.ymin)]),
+           np.column_stack([np.full(per_side, box.xmax), ys]),
+           np.column_stack([box.xmin + t[2] * (box.xmax - box.xmin),
+                            np.full(per_side, box.ymax)]),
+           np.column_stack([np.full(per_side, box.xmin),
+                            box.ymin + t[3] * (box.ymax - box.ymin)]),
+           uniform_points(rng, box, draw(st.integers(0, 5)))]
+    if draw(st.booleans()):
+        pts.append(box.corners())
+    pts = box.clamp(np.concatenate(pts))
+    return Instance(demand_xy=pts, weights=np.ones(len(pts)), obnoxious_xy=pts, box=box)
+
+
+@st.composite
+def non_square_instances(draw):
+    box = draw(boxes().filter(lambda b: b.xmax - b.xmin != b.ymax - b.ymin))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = uniform_points(rng, box, draw(st.integers(1, 30)))
+    return Instance(demand_xy=pts, weights=np.ones(len(pts)), obnoxious_xy=pts, box=box)
+
+
+@st.composite
+def disjoint_weighted_instances(draw):
+    """Demand and protected sets drawn apart, demand weights not all 1."""
+    box = draw(boxes())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    demand = uniform_points(rng, box, draw(st.integers(1, 25)))
+    protected = uniform_points(rng, box, draw(st.integers(1, 25)))
+    weights = rng.uniform(0.1, 5.0, size=len(demand))
+    return Instance(demand_xy=demand, weights=weights, obnoxious_xy=protected, box=box)
+
+
+def brute_clearance(points, instance):
+    diff = points[:, None, :] - instance.obnoxious_xy[None, :, :]
+    return np.hypot(diff[..., 0], diff[..., 1]).min(axis=1)
+
+
+def check_candidate_invariants(instance):
+    xy, clearance = feasible_candidates(instance, 0.0)
+    assert instance.box.contains(xy).all()
+    assert np.allclose(clearance, brute_clearance(xy, instance), rtol=0, atol=1e-12)
+    assert (np.diff(clearance) <= 0).all()
+    # largest empty circle: the best candidate clears at least as much as
+    # any point of the box
+    samples = uniform_points(np.random.default_rng(0), instance.box, 2000)
+    assert brute_clearance(samples, instance).max() <= clearance[0] + 1e-9
+    # the pipeline at half the best clearance
+    dmin = 0.5 * clearance[0]
+    rec = solve_one(instance, min(2, int((clearance >= dmin).sum())), dmin, starts=5)
+    assert (brute_clearance(rec.facilities, instance) >= dmin - 1e-9).all()
+    assert rec.objective <= rec.discrete.objective + 1e-9 * max(1.0, rec.discrete.objective)
+
+
+class TestDegenerateGeometryProperties:
+    @PROPERTY
+    @given(lattice_instances())
+    def test_square_lattice(self, instance):
+        check_candidate_invariants(instance)
+
+    @PROPERTY
+    @given(boundary_instances())
+    def test_points_on_the_box_boundary(self, instance):
+        check_candidate_invariants(instance)
+
+    @PROPERTY
+    @given(non_square_instances())
+    def test_non_square_box(self, instance):
+        check_candidate_invariants(instance)
+
+    @PROPERTY
+    @given(disjoint_weighted_instances())
+    def test_disjoint_sets_with_weights(self, instance):
+        check_candidate_invariants(instance)
+
+    @PROPERTY
+    @given(st.integers(3, 8), st.integers(-4, 4), st.integers(-4, 4), quarters, quarters)
+    def test_collinear_protected_points_raise(self, n, dx, dy, x0, y0):
+        if dx == dy == 0:
+            dx = 1
+        k = np.arange(n)[:, None]
+        pts = np.array([x0, y0]) + k * np.array([dx, dy]) / 4
+        box = BoundingBox(*(pts.min(axis=0) - 1), *(pts.max(axis=0) + 1))
+        instance = Instance(demand_xy=pts[:1], weights=[1.0], obnoxious_xy=pts, box=box)
+        with pytest.raises(CollinearSitesError):
+            feasible_candidates(instance, 0.0)

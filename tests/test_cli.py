@@ -3,6 +3,16 @@ import json
 import pytest
 
 from voromedian.cli import main
+from voromedian.frontier import solve_one
+from voromedian.instances import read_instance
+
+# instance files whose protected points admit no Voronoi diagram: all
+# collinear, two coinciding, none at all
+DEGENERATE_INSTANCES = {
+    "collinear": "box 0 0 10 10\n1 3\n5 5 1\n1 1\n2 2\n3 3\n",
+    "duplicate": "box 0 0 10 10\n1 3\n5 5 1\n1 1\n4 7\n1 1\n",
+    "no-protected": "box 0 0 10 10\n2 0\n5 5 1\n2 3 2\n",
+}
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +117,55 @@ class TestSolve:
             main(["solve", "--instance", str(inst_file), "--dmin", "1.1",
                   "--p", "3", "--starts", "5", "--seed", "9", "--out", str(out)])
         assert json.loads(a.read_text()) == json.loads(b.read_text())
+
+
+    @pytest.mark.parametrize("dmin, p, mode", [("0.95", 2, "exact"), ("1.1", 3, "heuristic")])
+    def test_report_is_the_solve_one_record(self, inst_file, tmp_path, dmin, p, mode):
+        out = tmp_path / "s.json"
+        main(["solve", "--instance", str(inst_file), "--dmin", dmin, "--p", str(p),
+              "--mode", mode, "--starts", "7", "--seed", "4", "--out", str(out)])
+        report = json.loads(out.read_text())
+        rec = solve_one(read_instance(inst_file), p, float(dmin), mode=mode, starts=7,
+                        seed=4)
+        assert report["m"] == rec.candidate_count
+        assert report["discrete"] == {
+            "objective": rec.discrete.objective,
+            "selected": list(rec.discrete.selected),
+            "sites": rec.discrete.sites.tolist(),
+            "proven": rec.discrete.proven,
+        }
+        assert report["refined"] == {
+            "objective": rec.objective,
+            "facilities": rec.facilities.tolist(),
+            "assignment": rec.assignment.tolist(),
+            "trace": rec.trace,
+        }
+
+    def test_unconstrained_report_is_the_solve_one_record(self, inst_file, tmp_path):
+        out = tmp_path / "s.json"
+        main(["solve", "--instance", str(inst_file), "--dmin", "0", "--p", "2",
+              "--starts", "5", "--seed", "3", "--out", str(out)])
+        refined = json.loads(out.read_text())["refined"]
+        rec = solve_one(read_instance(inst_file), 2, 0.0, seed=3, unconstrained_tries=5)
+        assert refined["objective"] == rec.objective
+        assert refined["facilities"] == rec.facilities.tolist()
+        assert refined["assignment"] == rec.assignment.tolist()
+        assert refined["trace"] == rec.trace
+
+
+class TestDegenerateInstances:
+    @pytest.mark.parametrize("kind", sorted(DEGENERATE_INSTANCES))
+    @pytest.mark.parametrize("command", [
+        ["candidates", "--dmin", "0.5"],
+        ["solve", "--dmin", "0.5", "--p", "1"],
+    ], ids=["candidates", "solve"])
+    def test_named_error_exit_code(self, tmp_path, capsys, kind, command):
+        path = tmp_path / f"{kind}.txt"
+        path.write_text(DEGENERATE_INSTANCES[kind])
+        code = main([command[0], "--instance", str(path), *command[1:],
+                     "--out", str(tmp_path / "out")])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("error: degenerate instance:")
 
 
 class TestFrontier:

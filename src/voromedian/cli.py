@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .candidates import EmptyObnoxiousSetError, feasible_candidates, write_candidates_csv
 from .charts import write_line_chart
-from .discrete import InfeasibleCardinalityError
+from .discrete import DEFAULT_NODE_BUDGET, InfeasibleCardinalityError
 from .frontier import (
     NoFeasibleCandidatesError,
     default_grid,
@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--starts", type=_positive_int, default=100,
                    help="heuristic multistarts (also unconstrained tries at dmin=0)")
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--node-budget", type=_positive_int, default=10_000_000,
+    s.add_argument("--node-budget", type=_positive_int, default=DEFAULT_NODE_BUDGET,
                    help="branch-and-bound node cap in exact mode")
     s.add_argument("--out", required=True, help="JSON report to write")
 

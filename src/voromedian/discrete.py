@@ -1,9 +1,9 @@
 """Discrete p-median over a fixed candidate set.
 
 Selecting p of m candidate columns to minimize the weighted sum of each
-demand row's distance to its closest selected column. Solved exactly by
-chunked enumeration of p-subsets when C(m, p) is small, by best-first
-branch-and-bound with an assignment-relaxation bound otherwise, and
+demand row's distance to its closest selected column. Solved exactly by one
+best-first branch-and-bound, warm-started by an interchange run, whose bound
+is the larger of an assignment bound and a cardinality gain bound; and
 heuristically by multistart greedy construction plus vertex substitution.
 `solve` is the stage's entry point: it picks between the two by mode.
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from .instances import Instance
 
-ENUM_LIMIT = 10_000_000  # max p-subsets enumerated before switching to B&B
+EXACT_LIMIT = 10_000_000  # auto mode solves exactly up to this many p-subsets
 DEFAULT_NODE_BUDGET = 10_000_000
 
 
@@ -72,74 +72,65 @@ def evaluate(matrix: np.ndarray, weights: np.ndarray, selected) -> DiscreteSolut
     )
 
 
-def _enumerate_exact(matrix, weights, p) -> tuple[tuple[int, ...], float]:
-    nd, m = matrix.shape
-    block = max(128, 4_000_000 // (nd * p))
-    best_obj = math.inf
-    best = None
-    combos = itertools.combinations(range(m), p)
-    while True:
-        chunk = np.array(list(itertools.islice(combos, block)), dtype=int)
-        if len(chunk) == 0:
-            break
-        # running minimum over the p columns of each subset -> weighted sum
-        cur = matrix[:, chunk[:, 0]]
-        for j in range(1, p):
-            np.minimum(cur, matrix[:, chunk[:, j]], out=cur)
-        objs = weights @ cur
-        k = int(np.argmin(objs))
-        if objs[k] < best_obj:
-            best_obj = float(objs[k])
-            best = tuple(int(c) for c in chunk[k])
-    return best, best_obj
-
-
 def _branch_and_bound(matrix, weights, p, node_budget, incumbent, incumbent_obj):
-    """Best-first search over include/exclude decisions on candidate columns.
+    """Best-first search over p-subsets of the columns, taken in `order`
+    (lowest mean distance first). A node is a set of chosen columns whose
+    completions add columns from position `idx` of `order` on; expanding it
+    makes one child per column it may add next.
 
-    Lower bound of a node: every demand row served by its cheapest column
-    among those not yet excluded (valid since at most p of them stay).
+    A node's bound is the larger of two lower bounds on its completions:
+    - assignment: every row served by its nearest column among the chosen
+      ones and order[idx:], as if all of them could stay. One vectorised
+      pass gives it for all children of a node, which are queued under it;
+    - gain, added when a node is popped with something chosen: with c_i the
+      distance from row i to its nearest chosen column, a free column j
+      saves at most g_j = sum_i w_i max(0, c_i - d_ij), and a set saves at
+      most the sum of its members' savings, so `need` more columns cost at
+      least w.c minus the `need` largest g_j. A node whose gain bound
+      exceeds its key is queued again under it.
+    A node that needs one more column is closed by its cheapest completion.
     """
     nd, m = matrix.shape
     order = np.argsort(matrix.mean(axis=0))  # promising columns first
-    d = matrix[:, order]
-
-    def lb(excluded_mask) -> float:
-        return float(weights @ d[:, ~excluded_mask].min(axis=1))
-
-    root_excl = np.zeros(m, dtype=bool)
-    heap = [(lb(root_excl), 0, (), 0, root_excl)]
+    cols = np.ascontiguousarray(matrix.T[order])  # cols[k]: column order[k]
+    # suffix[k]: each demand row's nearest column among order[k:]
+    suffix = np.minimum.accumulate(cols[::-1], axis=0)[::-1]
+    heap = [(float(weights @ suffix[0]), 0, (), 0, False)]
     tick = itertools.count(1)
     nodes = 0
-    proven = True
     while heap:
-        bound, _, chosen, idx, excl = heapq.heappop(heap)
+        bound, _, chosen, idx, gained = heapq.heappop(heap)
+        if bound >= incumbent_obj - 1e-12:
+            break  # the heap is bound-ordered: everything left is pruned
         nodes += 1
         if nodes > node_budget:
-            proven = False
-            break
-        if bound >= incumbent_obj - 1e-12:
-            continue  # heap is bound-ordered; everything left is pruned
-        remaining = m - idx
-        need = p - len(chosen)
-        if need == 0 or remaining == need:
-            sel = list(chosen) + list(range(idx, idx + need))
-            obj = float(weights @ d[:, sel].min(axis=1))
+            return incumbent, False
+        need, free = p - len(chosen), m - idx
+        c = matrix[:, list(chosen)].min(axis=1) if chosen else np.full(nd, np.inf)
+        if need == 1 or need == free:
+            if need == 1:  # the cheapest free column completes the set
+                k = idx + int(np.argmin(np.minimum(c, cols[idx:]) @ weights))
+                leaf, obj = chosen + (int(order[k]),), float(weights @ np.minimum(c, cols[k]))
+            else:
+                leaf = chosen + tuple(int(j) for j in order[idx:])
+                obj = float(weights @ np.minimum(c, suffix[idx]))
             if obj < incumbent_obj:
-                incumbent_obj = obj
-                incumbent = tuple(sel)
+                incumbent, incumbent_obj = tuple(sorted(leaf)), obj
             continue
-        # include idx: bound unchanged (idx was already allowed)
-        heapq.heappush(heap, (bound, next(tick), chosen + (idx,), idx + 1, excl))
-        # exclude idx: bound must be recomputed
-        excl2 = excl.copy()
-        excl2[idx] = True
-        if m - (idx + 1) >= need:
-            b2 = lb(excl2)
-            if b2 < incumbent_obj - 1e-12:
-                heapq.heappush(heap, (b2, next(tick), chosen, idx + 1, excl2))
-    selected = tuple(sorted(int(order[j]) for j in incumbent))
-    return selected, incumbent_obj, proven
+        if chosen and not gained:
+            gains = np.maximum(c - cols[idx:], 0.0) @ weights
+            top = np.partition(gains, free - need)[free - need:]
+            gain_bound = float(weights @ c - top.sum())
+            if gain_bound > bound:
+                if gain_bound < incumbent_obj - 1e-12:
+                    heapq.heappush(heap, (gain_bound, next(tick), chosen, idx, True))
+                continue
+        # child t adds order[idx + t]; it may then add order[idx + t + 1:]
+        child = np.minimum(c, suffix[idx:m - need + 1]) @ weights
+        for t in np.flatnonzero(child < incumbent_obj - 1e-12).tolist():
+            heapq.heappush(heap, (float(child[t]), next(tick),
+                                  chosen + (int(order[idx + t]),), idx + t + 1, False))
+    return incumbent, True
 
 
 def solve_exact(
@@ -148,8 +139,14 @@ def solve_exact(
     p: int,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> DiscreteSolution:
-    """Optimal p-subset of columns, or the best incumbent flagged non-proven
-    when the branch-and-bound node budget runs out.
+    """Optimal p-subset of columns by branch-and-bound, or the best
+    incumbent flagged non-proven when the node budget runs out.
+
+    One interchange run (greedy plus vertex substitution) gives the first
+    incumbent. Ties: of several optimal sets the first one found is kept,
+    the warm start before any set the search reaches, and the search prunes
+    every node whose bound is within 1e-12 of the incumbent, so a set better
+    by no more than that may go unfound.
     """
     weights = np.asarray(weights, dtype=float)
     nd, m = matrix.shape
@@ -158,20 +155,11 @@ def solve_exact(
     if m < p:
         raise InfeasibleCardinalityError(f"{m} candidates < p={p}")
 
-    if math.comb(m, p) <= ENUM_LIMIT:
-        selected, _ = _enumerate_exact(matrix, weights, p)
-        proven = True
-    else:
-        # warm-start the search with a quick heuristic incumbent, mapped
-        # into the branch-and-bound column order
-        warm = solve_interchange(matrix, weights, p, starts=20, seed=0)
-        order = np.argsort(matrix.mean(axis=0))
-        inv = np.empty_like(order)
-        inv[order] = np.arange(len(order))
-        warm_local = tuple(sorted(int(inv[c]) for c in warm.selected))
-        selected, _, proven = _branch_and_bound(
-            matrix, weights, p, node_budget, warm_local, warm.objective
-        )
+    # more interchange runs cost more than the nodes their incumbent saves
+    warm = solve_interchange(matrix, weights, p, starts=1, seed=0)
+    selected, proven = _branch_and_bound(
+        matrix, weights, p, node_budget, warm.selected, warm.objective
+    )
     sol = evaluate(matrix, weights, selected)
     sol.proven = proven
     return sol
@@ -333,10 +321,10 @@ def solve(
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> DiscreteSolution:
     """The discrete stage by mode: "exact", "heuristic" (best of `starts`
-    interchange runs) or "auto", exact when the C(m, p) subsets can be
-    enumerated and heuristic otherwise."""
+    interchange runs) or "auto", exact when there are at most EXACT_LIMIT
+    p-subsets and heuristic otherwise."""
     if mode not in ("auto", "exact", "heuristic"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "exact" or (mode == "auto" and math.comb(matrix.shape[1], p) <= ENUM_LIMIT):
+    if mode == "exact" or (mode == "auto" and math.comb(matrix.shape[1], p) <= EXACT_LIMIT):
         return solve_exact(matrix, weights, p, node_budget=node_budget)
     return solve_interchange(matrix, weights, p, starts=starts, seed=seed)

@@ -3,8 +3,9 @@ objective as a function of the minimum required clearance.
 
 `solve_one` is the one pipeline; the CLI, the baseline comparison and the
 sweep all call it. It filters the candidate vertices (as arrays), solves the
-discrete restriction (`discrete.solve`: exact when the subset count is
-enumerable, best of 100 interchange runs otherwise) and refines continuously
+discrete restriction (`discrete.solve`: branch-and-bound with an assignment
+and a gain bound when there are at most `discrete.EXACT_LIMIT` p-subsets,
+best of 100 interchange runs otherwise) and refines continuously
 from the selected sites. Its record carries both stages: the discrete
 solution with its selected sites, and the refined facilities, assignment,
 objective and trace. A zero clearance bypasses the candidate restriction
@@ -149,10 +150,8 @@ def sweep(
     instance: Instance,
     p: int,
     grid,
-    mode: str = "auto",
     starts: int = DEFAULT_STARTS,
     seed: int = 0,
-    node_budget: int = discrete.DEFAULT_NODE_BUDGET,
     unconstrained_tries: int = DEFAULT_UNCONSTRAINED_TRIES,
     workers: int = 1,
 ) -> list[FrontierRecord]:
@@ -166,8 +165,7 @@ def sweep(
     if any(b <= a for a, b in zip(grid, grid[1:])) or (grid and grid[0] < 0):
         raise ValueError("grid must be strictly increasing and >= 0")
     cached = candidate_vertices(instance)
-    kwargs = dict(mode=mode, starts=starts, seed=seed, node_budget=node_budget,
-                  unconstrained_tries=unconstrained_tries)
+    kwargs = dict(starts=starts, seed=seed, unconstrained_tries=unconstrained_tries)
     jobs = [(instance, p, g, kwargs, cached) for g in grid]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

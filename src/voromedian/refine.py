@@ -259,14 +259,7 @@ def _stacked_clusters(assignments: list[np.ndarray], p: int) -> np.ndarray:
     return c
 
 
-def refine_many(
-    instance: Instance,
-    dmin: float,
-    starts,
-    tol: float = TOL_REFINE,
-    max_rounds: int = MAX_ROUNDS,
-    max_iter: int = MAX_WEBER_ITER,
-) -> list[ContinuousSolution]:
+def refine_many(instance: Instance, dmin: float, starts) -> list[ContinuousSolution]:
     """Location-allocation descent from each of several feasible p-point
     configurations, run in lockstep; one solution per start, in order.
 
@@ -297,12 +290,12 @@ def refine_many(
         objective.append(obj)
         trace.append([obj])
     running = list(range(k_all))
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         if not running:
             break
         moved = _weber_clusters(
             x, w, _stacked_clusters([assignment[k] for k in running], p),
-            facs[running].reshape(-1, 2), instance, dmin, tree, tol, max_iter,
+            facs[running].reshape(-1, 2), instance, dmin, tree, TOL_REFINE, MAX_WEBER_ITER,
         ).reshape(len(running), p, 2)
         still = []
         for j, k in enumerate(running):
@@ -316,7 +309,7 @@ def refine_many(
                 )
             trace[k].append(new_obj)
             objective[k] = new_obj
-            if obj - new_obj >= tol * max(obj, 1e-300):
+            if obj - new_obj >= TOL_REFINE * max(obj, 1e-300):
                 still.append(k)
         running = still
     return [
@@ -326,16 +319,9 @@ def refine_many(
     ]
 
 
-def refine(
-    instance: Instance,
-    dmin: float,
-    start,
-    tol: float = TOL_REFINE,
-    max_rounds: int = MAX_ROUNDS,
-    max_iter: int = MAX_WEBER_ITER,
-) -> ContinuousSolution:
+def refine(instance: Instance, dmin: float, start) -> ContinuousSolution:
     """Location-allocation descent from a feasible p-point configuration."""
-    return refine_many(instance, dmin, [start], tol, max_rounds, max_iter)[0]
+    return refine_many(instance, dmin, [start])[0]
 
 
 def multistart_random(
@@ -345,7 +331,6 @@ def multistart_random(
     tries: int,
     seed: int,
     pool_attempts: int = 100_000,
-    tol: float = TOL_REFINE,
 ) -> ContinuousSolution:
     """Best refine result over `tries` random feasible p-tuples (the first
     of equal objectives), all descended in one batch.
@@ -362,12 +347,4 @@ def multistart_random(
     rng = np.random.default_rng(seed)
     starts = [pool[rng.choice(len(pool), size=p, replace=len(pool) < p)]
               for _ in range(tries)]
-    return min(refine_many(instance, dmin, starts, tol=tol), key=lambda s: s.objective)
-
-
-def write_trace_csv(solution: ContinuousSolution, path) -> None:
-    """Per-round convergence trace: header `round,objective`."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("round,objective\n")
-        for i, v in enumerate(solution.trace):
-            fh.write(f"{i},{v:.17g}\n")
+    return min(refine_many(instance, dmin, starts), key=lambda s: s.objective)

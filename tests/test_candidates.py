@@ -1,4 +1,6 @@
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -13,9 +15,15 @@ from voromedian.candidates import (
     triangle_feasible_area,
     write_candidates_csv,
 )
+from voromedian.cli import main
 from voromedian.frontier import solve_one
-from voromedian.geometry import BoundingBox, CollinearSitesError, voronoi_vertices
-from voromedian.instances import Instance
+from voromedian.geometry import (
+    BoundingBox,
+    CollinearSitesError,
+    DuplicateSitesError,
+    voronoi_vertices,
+)
+from voromedian.instances import Instance, write_instance
 
 
 def toy_instance():
@@ -288,6 +296,21 @@ def disjoint_weighted_instances(draw):
     return Instance(demand_xy=demand, weights=weights, obnoxious_xy=protected, box=box)
 
 
+@st.composite
+def duplicated_instances(draw):
+    """A lattice, boundary or random layout with one to three protected points
+    repeated, exactly or to within less than the coincidence tolerance."""
+    base = draw(st.one_of(lattice_instances(), boundary_instances(), non_square_instances()))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = base.obnoxious_xy
+    copies = pts[rng.integers(len(pts), size=draw(st.integers(1, 3)))]
+    jitter = draw(st.sampled_from([0.0, 2e-10]))  # EPS_GEO is 1e-9
+    copies = base.box.clamp(copies + jitter * rng.uniform(-1, 1, size=copies.shape))
+    pts = rng.permutation(np.concatenate([pts, copies]))
+    return Instance(demand_xy=base.demand_xy, weights=base.weights, obnoxious_xy=pts,
+                    box=base.box)
+
+
 def brute_clearance(points, instance):
     diff = points[:, None, :] - instance.obnoxious_xy[None, :, :]
     return np.hypot(diff[..., 0], diff[..., 1]).min(axis=1)
@@ -329,6 +352,20 @@ class TestDegenerateGeometryProperties:
     @given(disjoint_weighted_instances())
     def test_disjoint_sets_with_weights(self, instance):
         check_candidate_invariants(instance)
+
+    @PROPERTY
+    @given(duplicated_instances())
+    def test_duplicated_protected_points_raise_and_exit_4(self, instance):
+        with pytest.raises(DuplicateSitesError):
+            feasible_candidates(instance, 0.0)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "instance.txt")
+            write_instance(instance, path)
+            for command in (["candidates", "--dmin", "0"],
+                            ["solve", "--dmin", "0.1", "--p", "1"]):
+                code = main([command[0], "--instance", path, *command[1:],
+                             "--out", os.path.join(tmp, "out")])
+                assert code == 4, command
 
     @PROPERTY
     @given(st.integers(3, 8), st.integers(-4, 4), st.integers(-4, 4), quarters, quarters)

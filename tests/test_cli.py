@@ -102,8 +102,7 @@ class TestSolve:
         assert report["refined"]["objective"] > 0
 
     def test_exact_without_proof_exit_code(self, inst_file, tmp_path):
-        # C(50, 10) is far beyond the enumeration limit and a 10-node budget
-        # cannot close the search
+        # a 10-node budget cannot close the search for 10 of 50 candidates
         code = main(["solve", "--instance", str(inst_file), "--dmin", "0.95",
                      "--p", "10", "--mode", "exact", "--node-budget", "10",
                      "--out", str(tmp_path / "s.json")])

@@ -72,21 +72,18 @@ class TestSolveExact:
         with pytest.raises(InfeasibleCardinalityError):
             solve_exact(matrix, w, 4)
 
-    def test_branch_and_bound_path(self, monkeypatch):
-        # force the search path by shrinking the enumeration threshold
+    def test_branch_and_bound_path(self):
         rng = np.random.default_rng(4)
         matrix, w = random_problem(rng, 15, 12)
         ref_obj, ref_sel = brute_force_pmedian(matrix, w, 3)
-        monkeypatch.setattr(discrete, "ENUM_LIMIT", 1)
         sol = solve_exact(matrix, w, 3)
         assert sol.proven
         assert sol.objective == pytest.approx(ref_obj, rel=1e-12)
         assert sol.selected == ref_sel
 
-    def test_budget_exhaustion_returns_incumbent(self, monkeypatch):
+    def test_budget_exhaustion_returns_incumbent(self):
         rng = np.random.default_rng(5)
         matrix, w = random_problem(rng, 20, 14)
-        monkeypatch.setattr(discrete, "ENUM_LIMIT", 1)
         sol = solve_exact(matrix, w, 4, node_budget=3)
         assert not sol.proven
         assert len(sol.selected) == 4
@@ -169,6 +166,68 @@ def tied_problem(rng):
     dup = rng.integers(m, size=int(rng.integers(0, 3)))
     matrix = np.hstack([matrix, matrix[:, dup]])
     return matrix, rng.integers(1, 5, size=nd).astype(float)
+
+
+class TestExactOracle:
+    """solve_exact against the exhaustive reference at every p. The reference
+    keeps the first optimal set in lexicographic order, solve_exact the first
+    one it finds, so the sets are compared only where the optimum is unique:
+    on continuous random data with p no larger than the number of distinct
+    nearest columns (beyond that, columns that serve no row tie)."""
+
+    def test_random_matrices_every_p(self):
+        rng = np.random.default_rng(30)
+        compared = 0
+        for trial in range(100):
+            matrix, w = random_problem(rng, int(rng.integers(3, 16)), int(rng.integers(1, 11)))
+            nearest = len(set(matrix.argmin(axis=1).tolist()))
+            for p in range(1, matrix.shape[1] + 1):
+                ref_obj, ref_sel = brute_force_pmedian(matrix, w, p)
+                sol = solve_exact(matrix, w, p)
+                assert sol.proven, (trial, p)
+                assert sol.objective == pytest.approx(ref_obj, rel=1e-12), (trial, p)
+                if p <= nearest:
+                    assert sol.selected == ref_sel, (trial, p)
+                    compared += 1
+        assert compared > 300
+
+    def test_tied_matrices_every_p(self):
+        rng = np.random.default_rng(31)
+        for trial in range(100):
+            matrix, w = tied_problem(rng)
+            for p in range(1, matrix.shape[1] + 1):
+                ref_obj, _ = brute_force_pmedian(matrix, w, p)
+                sol = solve_exact(matrix, w, p)
+                assert sol.proven, (trial, p)
+                assert sol.objective == pytest.approx(ref_obj, rel=1e-12), (trial, p)
+
+
+# Optima of the benchmark matrices from exhaustive enumeration of every
+# p-subset: (n, D, p) -> (selected, objective)
+ENUMERATED_OPTIMA = {
+    (100, 0.95, 2): ((12, 44), 293.65756957409025),
+    (100, 0.95, 3): ((27, 44, 45), 242.09710735161792),
+    (100, 0.95, 4): ((30, 34, 44, 45), 209.54137031067268),
+    (100, 0.95, 5): ((29, 30, 34, 44, 45), 187.99801017581342),
+    (100, 0.95, 6): ((26, 29, 39, 44, 45, 47), 173.92568966896837),
+    (100, 1.1, 15): ((1, 6, 7, 9, 10, 12, 14, 15, 16, 17, 18, 19, 20, 21, 22),
+                     184.8746814731901),
+    (100, 1.3, 3): ((5, 7, 12), 284.90172188220856),
+    (500, 0.42, 2): ((81, 209), 1501.0149949037232),
+    (500, 0.42, 3): ((74, 89, 137), 1175.2643483583383),
+    (1000, 0.3, 2): ((307, 350), 2945.7061432854116),
+}
+
+
+@pytest.mark.parametrize("n, dmin, p", sorted(ENUMERATED_OPTIMA))
+def test_exact_matches_enumerated_benchmark_optima(request, n, dmin, p):
+    inst = request.getfixturevalue(f"inst{n}")
+    matrix = build_matrix(inst, feasible_candidates(inst, dmin)[0])
+    selected, objective = ENUMERATED_OPTIMA[n, dmin, p]
+    sol = solve_exact(matrix, inst.weights, p)  # under the default node budget
+    assert sol.proven
+    assert sol.selected == selected
+    assert sol.objective == pytest.approx(objective, rel=1e-12)
 
 
 def assert_matches_reference(monkeypatch, matrix, w, p, starts, seed):

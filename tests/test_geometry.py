@@ -143,6 +143,29 @@ class TestVoronoiVertices:
             dist = np.hypot(*(verts - np.array(target)).T)
             assert dist.min() <= 5e-5, target
 
+    @pytest.mark.parametrize("quarter_turns", [0, 1, 2, 3])
+    def test_circumcenter_just_inside_a_side_is_a_vertex(self, quarter_turns):
+        # The three sites' circumcenter (5, 9.9995) lies 5e-4 inside the top
+        # side. Its Voronoi ray crosses the side at (5, 10), which clears the
+        # sites by more, so a best-clearance check cannot tell whether the
+        # circumcenter was kept; the whole vertex set is compared instead.
+        def turn(points):  # quarter turns about the box center
+            pts = np.array(points, dtype=float)
+            for _ in range(quarter_turns):
+                pts = np.column_stack([10.0 - pts[:, 1], pts[:, 0]])
+            return pts
+
+        sites = turn([(4, 9.9995), (6, 9.9995), (5, 8.9995)])
+        expected = turn([(0, 0), (0, 10), (10, 0), (10, 10),  # corners
+                         (5, 9.9995),  # the circumcenter
+                         (5, 10), (0, 4.9995), (10, 4.9995)])  # ray crossings
+        def by_xy(pts):
+            return pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+
+        verts = voronoi_vertices(sites, BOX)
+        assert verts.shape == expected.shape
+        assert np.allclose(by_xy(verts), by_xy(expected), rtol=0, atol=1e-9)
+
     def test_site_outside_box_rejected(self):
         with pytest.raises(ValueError):
             voronoi_vertices([(5, 5), (12, 5), (5, 8)], BOX)

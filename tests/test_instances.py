@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import voromedian
 from voromedian.instances import (
     Instance,
     InstanceParseError,
@@ -139,3 +145,21 @@ class TestInstanceInvariants:
         inst = Instance(demand_xy=[[1, 1]], weights=[1.0], obnoxious_xy=[[9, 9]],
                         box=BoundingBox(0, 0, 10, 10))
         assert inst.n_demand == 1 and inst.n_obnoxious == 1
+
+
+def test_import_and_read_leave_scipy_optimize_unloaded(tmp_path):
+    # Importing scipy.optimize takes ~0.13 s and ~10 MB of resident memory,
+    # and nothing from `import voromedian` to a parsed instance needs it.
+    # A fresh interpreter, because this one may have loaded it already.
+    path = tmp_path / "inst.txt"
+    write_instance(generate(30), path)
+    code = ("import sys, voromedian\n"
+            "from voromedian.instances import read_instance\n"
+            f"read_instance({str(path)!r})\n"
+            "sys.exit('scipy.optimize imported' if 'scipy.optimize' in sys.modules else None)")
+    package_root = str(Path(voromedian.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

@@ -32,7 +32,6 @@ from .frontier import (
 from .geometry import (
     BoundingBox,
     Triangulation,
-    circumcenter,
     delaunay,
     voronoi_vertices,
 )
@@ -43,9 +42,7 @@ from .refine import (
     NoFeasibleSampleError,
     RefineMonotonicityError,
     assign,
-    constrained_weber,
     multistart_random,
-    refine,
     refine_many,
 )
 
@@ -65,8 +62,6 @@ __all__ = [
     "Triangulation",
     "assign",
     "build_matrix",
-    "circumcenter",
-    "constrained_weber",
     "default_grid",
     "delaunay",
     "feasible_candidates",
@@ -74,7 +69,6 @@ __all__ = [
     "multistart_random",
     "nearest_obnoxious",
     "read_instance",
-    "refine",
     "refine_many",
     "sample_feasible",
     "solve_exact",

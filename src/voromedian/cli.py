@@ -7,9 +7,11 @@ Subcommands:
   frontier    clearance sweep, as CSV plus an SVG chart
   baseline    candidate-seeded vs random-feasible multistart comparison
 
-Exit codes: 0 success; 2 usage; 3 infeasible or empty result; 4 I/O, parse
-or degenerate-instance failure (collinear, coinciding or no protected
-points); 5 exact mode finished without an optimality proof.
+Exit codes: 0 success; 2 usage (a non-finite clearance or grid bound
+included); 3 infeasible or empty result; 4 I/O, parse (a non-finite box
+bound or weight included) or degenerate-instance failure (collinear,
+coinciding or no protected points); 5 exact mode finished without an
+optimality proof.
 
 Every solve goes through `frontier.solve_one`; `solve` reports both stages
 of its record.
@@ -66,8 +68,8 @@ def _nonneg_int(value: str) -> int:
 
 def _nonneg_float(value: str) -> float:
     x = float(value)
-    if x < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {x}")
+    if not (0 <= x < np.inf):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {x}")
     return x
 
 
@@ -192,8 +194,8 @@ def cmd_frontier(args) -> int:
     if args.grid_max is None:
         grid = default_grid(instance, args.grid_steps)
     else:
-        if args.grid_max <= 0:
-            print("error: --grid-max must be > 0", file=sys.stderr)
+        if not (0 < args.grid_max < np.inf):
+            print("error: --grid-max must be finite and > 0", file=sys.stderr)
             return EXIT_USAGE
         grid = np.linspace(0.0, args.grid_max, args.grid_steps + 1)
     records = sweep(instance, args.p, grid, starts=args.starts, seed=args.seed,

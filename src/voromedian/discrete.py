@@ -5,7 +5,9 @@ demand row's distance to its closest selected column. Solved exactly by one
 best-first branch-and-bound, warm-started by an interchange run, whose bound
 is the larger of an assignment bound and a cardinality gain bound; and
 heuristically by multistart greedy construction plus vertex substitution.
-`solve` is the stage's entry point: it picks between the two by mode.
+`solve` is the stage's entry point: it picks between the two by mode. A
+solution is its selected columns, their objective and whether it is proven;
+the refine stage reassigns every demand row, so no assignment is kept.
 
 The substitution search evaluates swaps incrementally after Resende &
 Werneck (2007), "A fast swap-based local search procedure for location
@@ -37,7 +39,6 @@ class InfeasibleCardinalityError(ValueError):
 @dataclass
 class DiscreteSolution:
     selected: tuple[int, ...]  # p column indices, ascending
-    assignment: np.ndarray  # (nd,) column index of the serving facility
     objective: float
     proven: bool  # True when optimality was proven
     sites: np.ndarray | None = None  # (p, 2) selected coordinates, when known
@@ -53,21 +54,13 @@ def build_matrix(instance: Instance, xy: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
-def _assignment(matrix: np.ndarray, selected) -> tuple[np.ndarray, np.ndarray]:
-    """Closest selected column per demand row (ties: lowest column index)."""
-    cols = np.asarray(sorted(selected), dtype=int)
-    sub = matrix[:, cols]
-    pos = np.argmin(sub, axis=1)  # argmin takes the first minimum
-    return cols[pos], sub[np.arange(len(sub)), pos]
-
-
 def evaluate(matrix: np.ndarray, weights: np.ndarray, selected) -> DiscreteSolution:
-    """Solution record for a given selected set (not necessarily optimal)."""
-    assignment, dist = _assignment(matrix, selected)
+    """Solution record for a given selected set (not necessarily optimal):
+    each demand row is served by its closest selected column."""
+    cols = sorted(int(c) for c in selected)
     return DiscreteSolution(
-        selected=tuple(sorted(int(c) for c in selected)),
-        assignment=assignment,
-        objective=float(weights @ dist),
+        selected=tuple(cols),
+        objective=float(weights @ matrix[:, cols].min(axis=1)),
         proven=False,
     )
 

@@ -46,7 +46,6 @@ class FrontierRecord:
     proven: bool  # the discrete optimum over this record's own candidates was proven
     repaired: bool = False
     repaired_from: float | None = None  # clearance the adopted solution was found at
-    gap_reason: str | None = None
     discrete: DiscreteSolution | None = None  # None at D = 0 and on a gap
     assignment: np.ndarray | None = None  # (nd,) refined facility index per demand row
     trace: list[float] | None = None  # refined objective per round
@@ -64,10 +63,9 @@ def _unconstrained(instance: Instance, p: int, tries: int, seed: int):
         # a facility on every demand point is optimal (cost 0); extras repeat
         start = x[np.arange(p) % instance.n_demand]
         return refine_mod.refine(instance, 0.0, start)
-    diff = x[:, None, :] - x[None, :, :]
-    dmat = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    dmat = discrete.build_matrix(instance, x)
     seeded = discrete.solve_interchange(dmat, w, p, starts=50, seed=seed)
-    del diff, dmat  # not needed by the batched descent below
+    del dmat  # not needed by the batched descent below
     rng = np.random.default_rng(seed)
     starts = [x[list(seeded.selected)]] + [
         x[rng.choice(instance.n_demand, size=p, replace=False)]
@@ -136,14 +134,11 @@ def _solve_point(args):
     instance, p, dmin, kwargs, cached = args
     try:
         return solve_one(instance, p, dmin, _cached_vertices=cached, **kwargs)
-    except NoFeasibleCandidatesError:
+    except (NoFeasibleCandidatesError, discrete.InfeasibleCardinalityError):
+        # a gap; candidate_count == 0 tells "no candidates" from "fewer than p"
         m = int((cached[1] >= dmin).sum())
         return FrontierRecord(dmin=dmin, objective=None, facilities=None,
-                              candidate_count=m, proven=False, gap_reason="no-candidates")
-    except discrete.InfeasibleCardinalityError:
-        m = int((cached[1] >= dmin).sum())
-        return FrontierRecord(dmin=dmin, objective=None, facilities=None,
-                              candidate_count=m, proven=False, gap_reason="too-few-candidates")
+                              candidate_count=m, proven=False)
 
 
 def sweep(

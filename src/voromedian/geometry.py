@@ -1,5 +1,5 @@
-"""Planar primitives: circumcenters, Delaunay triangulation, and the vertex
-set of the Voronoi diagram clipped to a bounding box.
+"""Planar primitives: Delaunay triangulation, its circumcenters, and the
+vertex set of the Voronoi diagram clipped to a bounding box.
 
 Triangulation is delegated to Qhull (scipy.spatial.Delaunay) and kept as
 its `simplices` and `neighbors` arrays; everything downstream only relies on
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import Delaunay, QhullError, cKDTree
 
-EPS_GEO = 1e-9  # collinearity / degeneracy tolerance, absolute in miles
+EPS_GEO = 1e-9  # degeneracy tolerance, absolute in miles
 EPS_DEDUP = 1e-7  # two vertices closer than this are the same vertex
 
 
@@ -35,6 +35,8 @@ class BoundingBox:
     ymax: float
 
     def __post_init__(self):
+        if not np.isfinite([self.xmin, self.ymin, self.xmax, self.ymax]).all():
+            raise ValueError("non-finite bounding box")
         if not (self.xmin < self.xmax and self.ymin < self.ymax):
             raise ValueError("empty bounding box")
 
@@ -64,10 +66,6 @@ class BoundingBox:
         return pts
 
 
-class DegenerateTriangleError(ValueError):
-    """Circumcenter requested for (near-)collinear points."""
-
-
 class TooFewSitesError(ValueError):
     """Fewer than 3 distinct sites; no triangulation exists."""
 
@@ -87,29 +85,9 @@ class Triangulation:
     neighbors: np.ndarray  # (T, 3); entry k = triangle opposite vertex k, -1 on hull
 
 
-def circumcenter(a, b, c) -> np.ndarray:
-    """Center of the circle through three points, equidistant from all three.
-
-    Raises DegenerateTriangleError when the points are collinear within
-    tolerance (twice the signed area below EPS_GEO times the longest edge).
-    """
-    a = np.asarray(a, dtype=float)
-    bx, by = np.asarray(b, dtype=float) - a
-    cx, cy = np.asarray(c, dtype=float) - a
-    twice_area = bx * cy - by * cx  # signed
-    scale = max(np.hypot(bx, by), np.hypot(cx, cy), np.hypot(cx - bx, cy - by))
-    if abs(twice_area) <= EPS_GEO * max(scale, 1.0):
-        raise DegenerateTriangleError(f"collinear points: {a}, {a + (bx, by)}, {a + (cx, cy)}")
-    d = 2.0 * twice_area
-    b2 = bx * bx + by * by
-    c2 = cx * cx + cy * cy
-    ux = (cy * b2 - by * c2) / d
-    uy = (bx * c2 - cx * b2) / d
-    return a + np.array([ux, uy])
-
-
 def _circumcenters(sites: np.ndarray, simplices: np.ndarray) -> np.ndarray:
-    """Circumcenters of all triangles at once (vectorized twin of circumcenter)."""
+    """Circumcenters of all triangles at once: row t is equidistant from the
+    three sites of simplices[t]."""
     a = sites[simplices[:, 0]]
     b = sites[simplices[:, 1]] - a
     c = sites[simplices[:, 2]] - a
@@ -263,8 +241,7 @@ def _dedup_sort(points: np.ndarray, sites: np.ndarray, box: BoundingBox) -> np.n
             keep[j] = False
     points = points[keep]
 
-    dist, _ = cKDTree(sites).query(points)
-    order = np.lexsort((points[:, 1], points[:, 0], -dist))
+    order = np.lexsort((points[:, 1], points[:, 0], -nearest_site_distance(points, sites)))
     return points[order]
 
 

@@ -70,7 +70,7 @@ class Instance:
     """
 
     demand_xy: np.ndarray  # (nd, 2)
-    weights: np.ndarray  # (nd,), all > 0
+    weights: np.ndarray  # (nd,), all finite and > 0
     obnoxious_xy: np.ndarray  # (no, 2)
     box: BoundingBox
     name: str = field(default="", compare=False)
@@ -81,6 +81,8 @@ class Instance:
         self.obnoxious_xy = np.asarray(self.obnoxious_xy, dtype=float).reshape(-1, 2)
         if len(self.weights) != len(self.demand_xy):
             raise ValueError("one weight per demand point required")
+        if not np.isfinite(self.weights).all():
+            raise ValueError("weights must be finite")
         if np.any(self.weights <= 0):
             raise ValueError("weights must be strictly positive")
         for pts in (self.demand_xy, self.obnoxious_xy):
@@ -168,8 +170,8 @@ def read_instance(path) -> Instance:
     demand, weights, obnox = [], [], []
     for i in range(nd):
         x, y, w = parse_floats(3 + i, 3)
-        if w <= 0:
-            raise InstanceParseError(f"weight must be > 0, got {w}", 3 + i)
+        if not 0 < w < np.inf:
+            raise InstanceParseError(f"weight must be finite and > 0, got {w}", 3 + i)
         demand.append((x, y))
         weights.append(w)
     for i in range(no):

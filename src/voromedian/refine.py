@@ -9,8 +9,9 @@ small cap); only feasible, objective-improving iterates are accepted, and a
 rejected proposal is halved back toward the previous iterate. Facilities
 stay inside the instance box.
 
-All accepted configurations are feasible and the total objective is
-non-increasing, both per Weiszfeld step (per cluster) and per round.
+All accepted configurations are feasible, so every returned solution is
+too. The total objective is non-increasing, both per Weiszfeld step (per
+cluster) and per round.
 
 Several starts descend in lockstep (`refine_many`; `refine` is a batch of
 one). Each round stacks the facilities of the starts still running into one
@@ -59,7 +60,6 @@ class ContinuousSolution:
     facilities: np.ndarray  # (p, 2)
     assignment: np.ndarray  # (nd,) facility index, nearest (ties: lowest)
     objective: float
-    feasible: bool
     trace: list[float] = field(default_factory=list)  # objective per round
 
 
@@ -229,29 +229,6 @@ def _weber_clusters(
     return fac
 
 
-def constrained_weber(
-    cluster_xy,
-    cluster_w,
-    start,
-    instance: Instance,
-    dmin: float,
-    tol: float = TOL_REFINE,
-    max_iter: int = MAX_WEBER_ITER,
-) -> np.ndarray:
-    """Feasible point minimizing the weighted distance sum to one cluster,
-    reached from `start` by the damped projected Weiszfeld scheme. Never
-    worse than `start`; worst case returns it unchanged.
-    """
-    x = np.atleast_2d(np.asarray(cluster_xy, dtype=float))
-    w = np.asarray(cluster_w, dtype=float).reshape(-1)
-    tree = cKDTree(instance.obnoxious_xy) if instance.n_obnoxious else None
-    fac = _weber_clusters(
-        x, w, np.zeros(len(x), dtype=int), np.asarray(start, float).reshape(1, 2),
-        instance, dmin, tree, tol, max_iter,
-    )
-    return fac[0]
-
-
 def _stacked_clusters(assignments: list[np.ndarray], p: int) -> np.ndarray:
     """One cluster-id array for a batch: start j's ids offset by j * p."""
     c = np.concatenate(assignments)
@@ -313,8 +290,7 @@ def refine_many(instance: Instance, dmin: float, starts) -> list[ContinuousSolut
                 still.append(k)
         running = still
     return [
-        ContinuousSolution(facilities=f.copy(), assignment=c, objective=o, feasible=True,
-                           trace=t)
+        ContinuousSolution(facilities=f.copy(), assignment=c, objective=o, trace=t)
         for f, c, o, t in zip(facs, assignment, objective, trace)
     ]
 

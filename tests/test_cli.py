@@ -151,6 +151,25 @@ class TestSolve:
         assert refined["assignment"] == rec.assignment.tolist()
         assert refined["trace"] == rec.trace
 
+    @pytest.mark.parametrize("dmin", ["nan", "inf"])
+    def test_non_finite_dmin_usage_error(self, inst_file, tmp_path, dmin):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--instance", str(inst_file), "--dmin", dmin,
+                  "--p", "2", "--out", str(tmp_path / "s.json")])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("text", [
+        "box 0 0 10 10\n2 3\n5 5 nan\n2 3 1\n1 1\n4 7\n8 2\n",
+        "box 0 0 10 10\n2 3\n5 5 inf\n2 3 1\n1 1\n4 7\n8 2\n",
+        "box 0 0 inf 10\n2 3\n5 5 1\n2 3 1\n1 1\n4 7\n8 2\n",
+    ], ids=["nan-weight", "inf-weight", "inf-box"])
+    def test_non_finite_instance_io_error(self, tmp_path, capsys, text):
+        path = tmp_path / "inst.txt"
+        path.write_text(text)
+        assert main(["solve", "--instance", str(path), "--dmin", "0.5", "--p", "1",
+                     "--out", str(tmp_path / "s.json")]) == 4
+        assert capsys.readouterr().err.startswith("error: cannot parse instance:")
+
 
 class TestDegenerateInstances:
     @pytest.mark.parametrize("kind", sorted(DEGENERATE_INSTANCES))
@@ -194,6 +213,14 @@ class TestFrontier:
                      "--grid-max", "-1", "--grid-steps", "3",
                      "--out-csv", str(tmp_path / "f.csv"),
                      "--out-svg", str(tmp_path / "f.svg")]) == 2
+
+    @pytest.mark.parametrize("grid_max", ["nan", "inf"])
+    def test_non_finite_grid_max_usage_error(self, inst_file, tmp_path, grid_max):
+        csv = tmp_path / "f.csv"
+        assert main(["frontier", "--instance", str(inst_file), "--p", "2",
+                     "--grid-max", grid_max, "--grid-steps", "3",
+                     "--out-csv", str(csv), "--out-svg", str(tmp_path / "f.svg")]) == 2
+        assert not csv.exists()
 
 
 class TestBaseline:

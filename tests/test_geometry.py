@@ -6,10 +6,9 @@ import pytest
 from voromedian.geometry import (
     BoundingBox,
     CollinearSitesError,
-    DegenerateTriangleError,
     DuplicateSitesError,
     TooFewSitesError,
-    circumcenter,
+    _circumcenters,
     delaunay,
     nearest_site_distance,
     voronoi_vertices,
@@ -22,25 +21,19 @@ BOX = BoundingBox(0.0, 0.0, 10.0, 10.0)
 
 class TestCircumcenter:
     def test_right_triangle(self):
-        c = circumcenter((0, 0), (2, 0), (0, 2))
-        assert np.allclose(c, (1, 1), atol=1e-12)
+        c = _circumcenters(np.array([(0, 0), (2, 0), (0, 2)], float), np.array([[0, 1, 2]]))
+        assert np.allclose(c[0], (1, 1), atol=1e-12)
 
     def test_equilateral(self):
-        c = circumcenter((0, 0), (1, 0), (0.5, math.sqrt(3) / 2))
-        assert np.allclose(c, (0.5, math.sqrt(3) / 6), atol=1e-12)
-
-    def test_collinear_raises(self):
-        with pytest.raises(DegenerateTriangleError):
-            circumcenter((0, 0), (1, 0), (2, 0))
+        sites = np.array([(0, 0), (1, 0), (0.5, math.sqrt(3) / 2)])
+        c = _circumcenters(sites, np.array([[0, 1, 2]]))
+        assert np.allclose(c[0], (0.5, math.sqrt(3) / 6), atol=1e-12)
 
     def test_equidistance_on_random_triples(self):
         rng = np.random.default_rng(0)
-        for _ in range(200):
-            a, b, c = rng.uniform(0, 10, size=(3, 2))
-            try:
-                center = circumcenter(a, b, c)
-            except DegenerateTriangleError:
-                continue
+        sites = rng.uniform(0, 10, size=(600, 2))  # 200 triples, drawn in turn
+        centers = _circumcenters(sites, np.arange(600).reshape(200, 3))
+        for center, (a, b, c) in zip(centers, sites.reshape(200, 3, 2)):
             d = [np.hypot(*(center - q)) for q in (a, b, c)]
             scale = max(d)
             assert max(d) - min(d) <= 1e-9 * (1 + scale)

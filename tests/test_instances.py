@@ -103,6 +103,23 @@ class TestInstanceIO:
             read_instance(path)
         assert err.value.line_no == 4
 
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_non_finite_weight_rejected(self, tmp_path, weight):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"box 0 0 10 10\n2 0\n1 1 1\n2 2 {weight}\n")
+        with pytest.raises(InstanceParseError) as err:
+            read_instance(path)
+        assert err.value.line_no == 4
+
+    @pytest.mark.parametrize("header", ["box 0 0 inf 10", "box -inf 0 10 10",
+                                        "box 0 nan 10 10"])
+    def test_non_finite_box_rejected(self, tmp_path, header):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{header}\n1 0\n1 1 1\n")
+        with pytest.raises(InstanceParseError) as err:
+            read_instance(path)
+        assert err.value.line_no == 1
+
     def test_row_count_mismatch(self, tmp_path):
         path = tmp_path / "short.txt"
         path.write_text("box 0 0 10 10\n3 0\n1 1 1\n2 2 1\n")
@@ -135,6 +152,18 @@ class TestInstanceInvariants:
         with pytest.raises(ValueError):
             Instance(demand_xy=[[1, 1]], weights=[-1.0], obnoxious_xy=[[2, 2]],
                      box=BoundingBox(0, 0, 10, 10))
+
+    @pytest.mark.parametrize("weight", [np.nan, np.inf])
+    def test_weights_finite(self, weight):
+        with pytest.raises(ValueError, match="finite"):
+            Instance(demand_xy=[[1, 1]], weights=[weight], obnoxious_xy=[[2, 2]],
+                     box=BoundingBox(0, 0, 10, 10))
+
+    @pytest.mark.parametrize("bounds", [(0, 0, np.inf, 10), (-np.inf, 0, 10, 10),
+                                        (0, np.nan, 10, 10)])
+    def test_box_bounds_finite(self, bounds):
+        with pytest.raises(ValueError, match="non-finite"):
+            BoundingBox(*bounds)
 
     def test_points_inside_box(self):
         with pytest.raises(ValueError):

@@ -76,7 +76,7 @@ def feasible_candidates(instance: Instance, dmin: float) -> tuple[np.ndarray, np
     Returns (xy, clearance): an (m, 2) coordinate array and the (m,)
     clearances. May be empty: for large dmin no vertex survives the filter.
     """
-    if dmin < 0:
+    if not dmin >= 0:  # NaN fails too
         raise ValueError("dmin must be >= 0")
     verts, clearance = candidate_vertices(instance)
     keep = clearance >= dmin

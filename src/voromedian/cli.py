@@ -115,7 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--workers", type=_positive_int, default=os.cpu_count() or 1,
                    help="parallel grid-point workers")
     f.add_argument("--seed", type=int, default=0)
-    f.add_argument("--starts", type=_positive_int, default=100)
+    f.add_argument("--starts", type=_positive_int, default=100,
+                   help="heuristic multistarts (also unconstrained tries at dmin=0)")
 
     b = sub.add_parser("baseline", help="seeded vs random-start comparison")
     b.add_argument("--instance", required=True)

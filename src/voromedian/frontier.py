@@ -92,7 +92,7 @@ def solve_one(
     candidate restriction is empty or smaller than p; sweep() converts these
     into gap records instead.
     """
-    if p < 1 or dmin < 0:
+    if p < 1 or not dmin >= 0:  # NaN fails too
         raise ValueError("need p >= 1 and dmin >= 0")
     verts, clearance = (
         _cached_vertices if _cached_vertices is not None else candidate_vertices(instance)
@@ -147,20 +147,20 @@ def sweep(
     grid,
     starts: int = DEFAULT_STARTS,
     seed: int = 0,
-    unconstrained_tries: int = DEFAULT_UNCONSTRAINED_TRIES,
     workers: int = 1,
 ) -> list[FrontierRecord]:
     """One record (or gap marker) per grid value, envelope-repaired.
 
-    The grid must be strictly increasing and non-negative. Records are
-    returned in grid order; after repair the reported objectives are
-    non-decreasing in the clearance.
+    `starts` sets both the interchange multistarts and the unconstrained
+    tries at D = 0. The grid must be strictly increasing and non-negative
+    (NaN fails both checks). Records are returned in grid order; after
+    repair the reported objectives are non-decreasing in the clearance.
     """
     grid = [float(g) for g in grid]
-    if any(b <= a for a, b in zip(grid, grid[1:])) or (grid and grid[0] < 0):
+    if not all(b > a for a, b in zip(grid, grid[1:])) or (grid and not grid[0] >= 0):
         raise ValueError("grid must be strictly increasing and >= 0")
     cached = candidate_vertices(instance)
-    kwargs = dict(starts=starts, seed=seed, unconstrained_tries=unconstrained_tries)
+    kwargs = dict(starts=starts, seed=seed, unconstrained_tries=starts)
     jobs = [(instance, p, g, kwargs, cached) for g in grid]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -4,13 +4,12 @@ vertex set of the Voronoi diagram clipped to a bounding box.
 Triangulation is delegated to Qhull (scipy.spatial.Delaunay) and kept as
 its `simplices` and `neighbors` arrays; everything downstream only relies on
 the empty-circumcircle property, which the test suite verifies by brute
-force. The clipped Voronoi vertex set consists of
-
-  (i)  circumcenters of Delaunay triangles that lie inside or on the box,
-  (ii) intersections of Voronoi edges (segments between circumcenters of
-       adjacent triangles, and outward rays bisecting hull-adjacent site
-       pairs) with the box boundary,
-  (iii) the four box corners.
+force. The clipped Voronoi vertex set is built in one pass over arrays: the
+four box corners, the circumcenters inside or on the box, and the points
+where Voronoi edges cross the box boundary. The edges form one list of rows
+(origin, direction, parameter range): segments between the circumcenters of
+adjacent triangles, outward rays from hull triangles, or the bisector of two
+sites. One Liang-Barsky clip of the whole list gives the crossings.
 
 Vertices are deduplicated and returned sorted by descending distance to the
 nearest site, ties broken by (x, y); identical inputs give identical output.
@@ -135,49 +134,33 @@ def delaunay(sites) -> Triangulation:
     )
 
 
-def _clip_to_box(p0: np.ndarray, direction: np.ndarray, t_lo: float, t_hi: float,
-                 box: BoundingBox) -> tuple[float, float] | None:
-    """Liang-Barsky: parameter interval of {p0 + t*direction, t in [t_lo, t_hi]}
-    inside the box, or None if the intersection is empty. t_hi may be inf."""
-    tmin, tmax = t_lo, t_hi
-    for d, lo, hi, p in (
-        (direction[0], box.xmin, box.xmax, p0[0]),
-        (direction[1], box.ymin, box.ymax, p0[1]),
-    ):
-        if abs(d) < 1e-300:
-            if p < lo or p > hi:
-                return None
-            continue
-        t1, t2 = (lo - p) / d, (hi - p) / d
-        if t1 > t2:
-            t1, t2 = t2, t1
-        tmin, tmax = max(tmin, t1), min(tmax, t2)
-        if tmin > tmax:
-            return None
-    return tmin, tmax
-
-
-def _boundary_crossings(p0, direction, t_lo, t_hi, box) -> list[np.ndarray]:
-    """Points where the segment/ray {p0 + t*d, t in [t_lo, t_hi]} crosses the
-    box boundary (clip endpoints that are not original endpoints)."""
-    clipped = _clip_to_box(p0, direction, t_lo, t_hi, box)
-    if clipped is None:
-        return []
-    tmin, tmax = clipped
-    out = []
-    if tmin > t_lo + 1e-15:
-        out.append(p0 + tmin * direction)
-    if tmax < t_hi - 1e-15:  # always true for rays (t_hi = inf) that hit the box
-        out.append(p0 + tmax * direction)
-    return out
+def _crossings(origin, direction, t_lo, t_hi, box: BoundingBox) -> np.ndarray:
+    """Liang-Barsky clip of the edges {origin + t*direction, t in [t_lo, t_hi]}, one
+    per row, to the box: the clip ends that are not the edge's own ends."""
+    tmin, tmax, hit = t_lo, t_hi, np.ones(len(origin), dtype=bool)
+    for axis, (lo, hi) in enumerate(((box.xmin, box.xmax), (box.ymin, box.ymax))):
+        d, p = direction[:, axis], origin[:, axis]
+        flat = np.abs(d) < 1e-300  # parallel to this side: inside its slab or missed
+        hit &= ~flat | ((p >= lo) & (p <= hi))
+        with np.errstate(all="ignore"):
+            t1 = np.where(flat, -np.inf, (lo - p) / d)
+            t2 = np.where(flat, np.inf, (hi - p) / d)
+        # comparisons as in a scalar clip, so ties and signed zeros resolve alike
+        t1, t2 = np.where(t1 > t2, t2, t1), np.where(t1 > t2, t1, t2)
+        tmin, tmax = np.where(t1 > tmin, t1, tmin), np.where(t2 < tmax, t2, tmax)
+    hit &= tmin <= tmax
+    ends = [(tmin, hit & (tmin > t_lo + 1e-15)), (tmax, hit & (tmax < t_hi - 1e-15))]
+    return np.concatenate([origin[k] + t[k, None] * direction[k] for t, k in ends])
 
 
 def voronoi_vertices(sites, box: BoundingBox) -> np.ndarray:
-    """Vertex set of the Voronoi diagram of `sites` clipped to `box`.
+    """Vertex set of the Voronoi diagram of `sites` clipped to `box`, as an
+    (m, 2) array sorted by descending nearest-site distance, ties by (x, y).
 
-    Returns an (m, 2) array sorted by descending nearest-site distance,
-    ties by (x, y). Special cases: a single site yields the box corners
-    only; two sites add the bisector/boundary intersections.
+    Each Voronoi edge is a row (origin, direction, t range): t in [0, 1]
+    between adjacent circumcenters, [0, inf) for a hull ray along the outward
+    normal, (-inf, inf) for the bisector of two sites; one site has no edge.
+    One clip of all rows gives the boundary crossings.
     """
     sites = np.asarray(sites, dtype=float).reshape(-1, 2)
     if len(sites) == 0:
@@ -185,47 +168,33 @@ def voronoi_vertices(sites, box: BoundingBox) -> np.ndarray:
     if not box.contains(sites).all():
         raise ValueError("box must contain all sites")
 
-    raw: list[np.ndarray] = [c for c in box.corners()]
-
-    if len(sites) == 1:
-        return _dedup_sort(np.array(raw), sites, box)
-
+    centers = origin = direction = np.empty((0, 2))
+    t_lo = t_hi = np.empty(0)
     if len(sites) == 2:
         _check_distinct(sites)
-        mid = sites.mean(axis=0)
         d = sites[1] - sites[0]
-        perp = np.array([-d[1], d[0]])
-        raw += _boundary_crossings(mid, perp, -np.inf, np.inf, box)
-        return _dedup_sort(np.array(raw), sites, box)
+        origin, direction = sites.mean(axis=0)[None], np.array([[-d[1], d[0]]])
+        t_lo, t_hi = np.array([-np.inf]), np.array([np.inf])
+    elif len(sites) > 2:
+        tri = delaunay(sites)
+        simplices, nb = tri.simplices, tri.neighbors
+        centers = _circumcenters(sites, simplices)
+        t, k = np.nonzero(nb > np.arange(len(simplices))[:, None])  # each bounded edge once
+        seg = centers[nb[t, k]] - centers[t]
+        long = np.hypot(*seg.T) > EPS_GEO
+        h, k = np.nonzero(nb == -1)  # hull edges: rays along the outward normal
+        u, v = sites[simplices[h, (k + 1) % 3]], sites[simplices[h, (k + 2) % 3]]
+        normal = np.column_stack([u[:, 1] - v[:, 1], v[:, 0] - u[:, 0]])
+        normal /= np.hypot(*normal.T)[:, None]
+        inward = np.einsum("ij,ij->i", normal, 0.5 * (u + v) - sites[simplices[h, k]]) < 0
+        normal[inward] = -normal[inward]
+        origin = np.concatenate([centers[t[long]], centers[h]])
+        direction = np.concatenate([seg[long], normal])
+        t_lo, t_hi = np.zeros(len(origin)), np.repeat([1.0, np.inf], [long.sum(), len(h)])
 
-    tri = delaunay(sites)
-    simplices = tri.simplices
-    centers = _circumcenters(sites, simplices)
-
-    inside = box.contains(centers, tol=EPS_GEO)
-    raw += list(box.clamp(centers[inside]))
-
-    for t in range(len(simplices)):
-        for k in range(3):
-            nb = tri.neighbors[t, k]
-            u, v = simplices[t, (k + 1) % 3], simplices[t, (k + 2) % 3]
-            if nb == -1:
-                # hull edge: Voronoi ray from this circumcenter, outward
-                edge = sites[v] - sites[u]
-                normal = np.array([-edge[1], edge[0]])
-                norm = np.hypot(*normal)
-                normal /= norm
-                mid = 0.5 * (sites[u] + sites[v])
-                if np.dot(normal, mid - sites[simplices[t, k]]) < 0:
-                    normal = -normal
-                raw += _boundary_crossings(centers[t], normal, 0.0, np.inf, box)
-            elif nb > t:
-                # bounded edge between adjacent circumcenters, visited once
-                seg = centers[nb] - centers[t]
-                if np.hypot(*seg) > EPS_GEO:
-                    raw += _boundary_crossings(centers[t], seg, 0.0, 1.0, box)
-
-    return _dedup_sort(np.array(raw), sites, box)
+    raw = [box.corners(), box.clamp(centers[box.contains(centers, tol=EPS_GEO)]),
+           _crossings(origin, direction, t_lo, t_hi, box)]
+    return _dedup_sort(np.concatenate(raw), sites, box)
 
 
 def _dedup_sort(points: np.ndarray, sites: np.ndarray, box: BoundingBox) -> np.ndarray:

@@ -41,6 +41,7 @@ MAX_ROUNDS = 200
 MAX_PROJECTIONS = 10  # constraint-projection passes per proposal
 MAX_HALVINGS = 40  # step halvings before a facility is declared stuck
 FEAS_TOL = 1e-9
+POOL_ATTEMPTS = 100_000  # uniform box samples behind multistart_random's start pool
 
 
 class InfeasibleStartError(ValueError):
@@ -306,20 +307,21 @@ def multistart_random(
     p: int,
     tries: int,
     seed: int,
-    pool_attempts: int = 100_000,
 ) -> ContinuousSolution:
     """Best refine result over `tries` random feasible p-tuples (the first
     of equal objectives), all descended in one batch.
 
-    The start pool is the feasible subset of `pool_attempts` uniform box
+    The start pool is the feasible subset of `POOL_ATTEMPTS` uniform box
     samples; raises NoFeasibleSampleError when that subset is empty.
     """
     if tries < 1:
         raise ValueError("tries must be >= 1")
-    pool, _ = sample_feasible(instance, dmin, count=pool_attempts, seed=seed,
-                              max_attempts=pool_attempts)
+    if not dmin >= 0:  # NaN fails too
+        raise ValueError("dmin must be >= 0")
+    pool, _ = sample_feasible(instance, dmin, count=POOL_ATTEMPTS, seed=seed,
+                              max_attempts=POOL_ATTEMPTS)
     if len(pool) < 1:
-        raise NoFeasibleSampleError(f"no feasible point in {pool_attempts} samples")
+        raise NoFeasibleSampleError(f"no feasible point in {POOL_ATTEMPTS} samples")
     rng = np.random.default_rng(seed)
     starts = [pool[rng.choice(len(pool), size=p, replace=len(pool) < p)]
               for _ in range(tries)]

@@ -76,8 +76,9 @@ class TestFeasibleCandidates:
             assert c == pytest.approx(nearest_obnoxious(q, inst100), abs=1e-9)
 
     def test_negative_dmin_rejected(self, inst100):
-        with pytest.raises(ValueError):
-            feasible_candidates(inst100, -0.1)
+        for dmin in (-0.1, float("nan")):
+            with pytest.raises(ValueError):
+                feasible_candidates(inst100, dmin)
 
     def test_csv_export(self, tmp_path, inst100):
         xy, clearance = feasible_candidates(inst100, 1.3)

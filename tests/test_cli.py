@@ -208,6 +208,17 @@ class TestFrontier:
         assert code == 0
         assert len(csv.read_text().splitlines()) == 2
 
+    def test_zero_point_matches_solve(self, inst_file, tmp_path):
+        # --starts sets the unconstrained tries at D = 0 in both commands
+        csv, svg, out = tmp_path / "f.csv", tmp_path / "f.svg", tmp_path / "s.json"
+        assert main(["frontier", "--instance", str(inst_file), "--p", "2",
+                     "--grid-steps", "0", "--out-csv", str(csv), "--out-svg", str(svg),
+                     "--workers", "1", "--starts", "3", "--seed", "3"]) == 0
+        assert main(["solve", "--instance", str(inst_file), "--dmin", "0", "--p", "2",
+                     "--starts", "3", "--seed", "3", "--out", str(out)]) == 0
+        row = csv.read_text().splitlines()[1].split(",")
+        assert float(row[1]) == json.loads(out.read_text())["refined"]["objective"]
+
     def test_bad_grid_max_usage_error(self, inst_file, tmp_path):
         assert main(["frontier", "--instance", str(inst_file), "--p", "2",
                      "--grid-max", "-1", "--grid-steps", "3",

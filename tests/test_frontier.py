@@ -35,6 +35,10 @@ class TestSolveOne:
         with pytest.raises(NoFeasibleCandidatesError):
             solve_one(inst100, p=2, dmin=5.0)
 
+    def test_nan_dmin_rejected(self, inst100):
+        with pytest.raises(ValueError):
+            solve_one(inst100, p=2, dmin=float("nan"))
+
     def test_too_few_candidates_raises(self, inst100):
         with pytest.raises(InfeasibleCardinalityError):
             solve_one(inst100, p=4, dmin=1.6)
@@ -51,7 +55,7 @@ class TestSolveOne:
 
 class TestSweep:
     def test_single_zero_grid(self, inst100):
-        recs = sweep(inst100, p=2, grid=[0.0], unconstrained_tries=5, seed=2)
+        recs = sweep(inst100, p=2, grid=[0.0], starts=5, seed=2)
         assert len(recs) == 1
         assert recs[0].dmin == 0.0 and recs[0].objective is not None
 
@@ -82,6 +86,9 @@ class TestSweep:
             sweep(inst100, p=2, grid=[0.5, 0.5])
         with pytest.raises(ValueError):
             sweep(inst100, p=2, grid=[-0.1, 0.5])
+        for grid in ([0.5, float("nan")], [float("nan")]):
+            with pytest.raises(ValueError):
+                sweep(inst100, p=2, grid=grid)
 
     def test_parallel_matches_serial(self, inst100):
         grid = [0.9, 1.1, 1.3]

@@ -1,18 +1,25 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voromedian.geometry import (
+    EPS_GEO,
     BoundingBox,
     CollinearSitesError,
     DuplicateSitesError,
     TooFewSitesError,
+    _check_distinct,
     _circumcenters,
+    _crossings,
+    _dedup_sort,
     delaunay,
     nearest_site_distance,
     voronoi_vertices,
 )
+from voromedian.instances import generate
 
 from conftest import brute_force_circumcircle_violations
 
@@ -162,3 +169,173 @@ class TestVoronoiVertices:
     def test_site_outside_box_rejected(self):
         with pytest.raises(ValueError):
             voronoi_vertices([(5, 5), (12, 5), (5, 8)], BOX)
+
+
+# The per-edge construction that the array pass of voronoi_vertices replaced:
+# each edge is clipped on its own by a scalar Liang-Barsky clip. It is the
+# reference the array pass must reproduce bit for bit.
+def reference_clip_to_box(p0, direction, t_lo, t_hi, box):
+    tmin, tmax = t_lo, t_hi
+    for d, lo, hi, p in (
+        (direction[0], box.xmin, box.xmax, p0[0]),
+        (direction[1], box.ymin, box.ymax, p0[1]),
+    ):
+        if abs(d) < 1e-300:
+            if p < lo or p > hi:
+                return None
+            continue
+        t1, t2 = (lo - p) / d, (hi - p) / d
+        if t1 > t2:
+            t1, t2 = t2, t1
+        tmin, tmax = max(tmin, t1), min(tmax, t2)
+        if tmin > tmax:
+            return None
+    return tmin, tmax
+
+
+def reference_boundary_crossings(p0, direction, t_lo, t_hi, box):
+    clipped = reference_clip_to_box(p0, direction, t_lo, t_hi, box)
+    if clipped is None:
+        return []
+    tmin, tmax = clipped
+    out = []
+    if tmin > t_lo + 1e-15:
+        out.append(p0 + tmin * direction)
+    if tmax < t_hi - 1e-15:
+        out.append(p0 + tmax * direction)
+    return out
+
+
+def reference_voronoi_vertices(sites, box):
+    sites = np.asarray(sites, dtype=float).reshape(-1, 2)
+    raw = [c for c in box.corners()]
+    if len(sites) == 1:
+        return _dedup_sort(np.array(raw), sites, box)
+    if len(sites) == 2:
+        _check_distinct(sites)
+        mid = sites.mean(axis=0)
+        d = sites[1] - sites[0]
+        perp = np.array([-d[1], d[0]])
+        raw += reference_boundary_crossings(mid, perp, -np.inf, np.inf, box)
+        return _dedup_sort(np.array(raw), sites, box)
+    tri = delaunay(sites)
+    simplices = tri.simplices
+    centers = _circumcenters(sites, simplices)
+    raw += list(box.clamp(centers[box.contains(centers, tol=EPS_GEO)]))
+    for t in range(len(simplices)):
+        for k in range(3):
+            nb = tri.neighbors[t, k]
+            u, v = simplices[t, (k + 1) % 3], simplices[t, (k + 2) % 3]
+            if nb == -1:
+                edge = sites[v] - sites[u]
+                normal = np.array([-edge[1], edge[0]])
+                normal /= np.hypot(*normal)
+                mid = 0.5 * (sites[u] + sites[v])
+                if np.dot(normal, mid - sites[simplices[t, k]]) < 0:
+                    normal = -normal
+                raw += reference_boundary_crossings(centers[t], normal, 0.0, np.inf, box)
+            elif nb > t:
+                seg = centers[nb] - centers[t]
+                if np.hypot(*seg) > EPS_GEO:
+                    raw += reference_boundary_crossings(centers[t], seg, 0.0, 1.0, box)
+    return _dedup_sort(np.array(raw), sites, box)
+
+
+def assert_matches_reference(sites, box):
+    assert voronoi_vertices(sites, box).tobytes() == reference_voronoi_vertices(sites, box).tobytes()
+
+
+MATCH = settings(derandomize=True, deadline=None, max_examples=60)
+quarters = st.integers(-8, 8).map(lambda k: k / 4)
+
+
+@st.composite
+def boxes(draw, square=False):
+    x0, y0, w = draw(quarters), draw(quarters), draw(st.integers(4, 60)) / 4
+    h = w if square else draw(st.integers(4, 60)) / 4
+    return BoundingBox(x0, y0, x0 + w, y0 + h)
+
+
+def in_box(box, unit):
+    lo, hi = np.array([box.xmin, box.ymin]), np.array([box.xmax, box.ymax])
+    return np.clip(lo + unit * (hi - lo), lo, hi)
+
+
+def random_sites(draw, box, low, high):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return in_box(box, rng.random((draw(st.integers(low, high)), 2)))
+
+
+class TestMatchesPerEdgeReference:
+    @pytest.mark.parametrize("n", [30, 100, 500, 1000])
+    def test_benchmark_instances(self, n):
+        inst = generate(n)
+        assert_matches_reference(inst.obnoxious_xy, inst.box)
+
+    @MATCH
+    @given(st.data())
+    def test_random_sites(self, data):
+        box = data.draw(boxes(square=True))
+        assert_matches_reference(random_sites(data.draw, box, 3, 80), box)
+
+    @MATCH
+    @given(st.integers(2, 7), st.integers(1, 8), quarters, quarters, st.integers(0, 8))
+    def test_square_lattices(self, k, step, x0, y0, margin):
+        # every lattice cell has four cocircular corners
+        i, j = np.meshgrid(np.arange(k), np.arange(k))
+        sites = np.column_stack([x0 + step / 4 * i.ravel(), y0 + step / 4 * j.ravel()])
+        span, pad = step / 4 * (k - 1), margin / 4
+        assert_matches_reference(
+            sites, BoundingBox(x0 - pad, y0 - pad, x0 + span + pad, y0 + span + pad))
+
+    @MATCH
+    @given(st.data())
+    def test_sites_on_the_boundary(self, data):
+        box = data.draw(boxes())
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        t = rng.random((4, data.draw(st.integers(1, 4))))
+        zero, one = np.zeros_like(t[0]), np.ones_like(t[0])
+        sides = [np.column_stack(uv) for uv in ((t[0], zero), (one, t[1]), (t[2], one), (zero, t[3]))]
+        sites = np.concatenate(sides + [rng.random((data.draw(st.integers(0, 5)), 2))])
+        if data.draw(st.booleans()):
+            sites = np.concatenate([sites, [[0, 0], [0, 1], [1, 0], [1, 1]]])
+        assert_matches_reference(in_box(box, sites), box)
+
+    @MATCH
+    @given(st.data())
+    def test_non_square_boxes(self, data):
+        box = data.draw(boxes().filter(lambda b: b.xmax - b.xmin != b.ymax - b.ymin))
+        assert_matches_reference(random_sites(data.draw, box, 3, 40), box)
+
+    @MATCH
+    @given(st.data())
+    def test_one_and_two_sites(self, data):
+        box = data.draw(boxes())
+        sites = random_sites(data.draw, box, 1, 2)
+        if len(sites) == 2 and data.draw(st.booleans()):
+            # an axis-parallel bisector: the two sites share a coordinate
+            axis = data.draw(st.integers(0, 1))
+            sites[1, axis] = sites[0, axis]
+        if len(sites) == 2 and np.hypot(*(sites[1] - sites[0])) <= EPS_GEO:
+            return
+        assert_matches_reference(sites, box)
+
+
+class TestCrossingsMatchScalarClip:
+    def test_every_edge_kind(self):
+        # origins on, inside and outside the box sides; directions with zero,
+        # signed-zero and subnormal components; segment, ray and line ranges
+        box = BoundingBox(0.0, 0.0, 4.0, 2.0)
+        coords = [-3.0, 0.0, 0.5, 2.0, 4.0, 7.0]
+        components = [0.0, -0.0, 1e-310, -1e-310, 1e-3, -0.75, 1.0, 2.5]
+        ranges = [(0.0, 1.0), (0.0, np.inf), (-np.inf, np.inf)]
+        for x, y, dx, dy, (t_lo, t_hi) in itertools.product(
+                coords, coords, components, components, ranges):
+            origin, direction = np.array([x, y]), np.array([dx, dy])
+            if not direction.any():
+                continue  # no edge of the diagram has a zero direction
+            expected = reference_boundary_crossings(origin, direction, t_lo, t_hi, box)
+            got = _crossings(origin[None], direction[None], np.array([t_lo]),
+                             np.array([t_hi]), box)
+            assert got.tobytes() == np.array(expected).reshape(-1, 2).tobytes(), (
+                origin, direction, t_lo, t_hi)

@@ -225,8 +225,11 @@ class TestMultistartRandom:
 
     def test_no_feasible_sample(self, inst100):
         with pytest.raises(NoFeasibleSampleError):
-            multistart_random(inst100, 50.0, p=2, tries=1, seed=1,
-                              pool_attempts=2000)
+            multistart_random(inst100, 50.0, p=2, tries=1, seed=1)
+
+    def test_nan_dmin_rejected(self, inst100):
+        with pytest.raises(ValueError):
+            multistart_random(inst100, float("nan"), p=2, tries=1, seed=1)
 
     def test_single_facility_matches_grid_oracle(self, inst100):
         """Unconstrained 1-median: dense-grid brute force as the oracle."""

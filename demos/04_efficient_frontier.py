@@ -9,7 +9,7 @@ Run: python demos/04_efficient_frontier.py  (about a minute)
 """
 
 from voromedian import generate, sweep
-from voromedian.charts import write_line_chart
+from voromedian.charts import write_frontier_chart
 from voromedian.frontier import write_frontier_csv
 
 inst = generate(100)
@@ -24,14 +24,7 @@ for r in records:
           f"{str(r.proven):5s}   {r.repaired}")
 
 write_frontier_csv(records, "frontier_p5.csv")
-write_line_chart(
-    "frontier_p5.svg",
-    xs=[r.dmin for r in records],
-    ys=[r.objective for r in records],
-    xlabel="minimum clearance D",
-    ylabel="objective",
-    title=f"efficient frontier, p={p}",
-)
+write_frontier_chart(records, "frontier_p5.svg")
 print("\nwrote frontier_p5.csv and frontier_p5.svg")
 
 base = records[0].objective

@@ -7,18 +7,20 @@ Subcommands:
   frontier    clearance sweep, as CSV plus an SVG chart
   baseline    candidate-seeded vs random-feasible multistart comparison
 
-Exit codes: 0 success; 2 usage (a non-finite clearance or grid bound
-included); 3 infeasible or empty result; 4 I/O, parse (a non-finite box
-bound or weight included) or degenerate-instance failure (collinear,
-coinciding or no protected points); 5 exact mode finished without an
-optimality proof.
+Exit codes: 0 success; 2 usage (a non-finite clearance or grid bound, or a
+negative seed, included); 3 infeasible or empty result; 4 I/O, parse (a
+non-finite box bound or weight included) or degenerate-instance failure
+(collinear, coinciding or no protected points); 5 exact mode finished
+without an optimality proof.
 
 Every solve goes through `frontier.solve_one`; `solve` reports both stages
-of its record.
+of its record, and `baseline`'s seeded side is `solve` with default flags.
+`--starts` also sets the unconstrained tries at dmin=0.
 
 The solve/baseline JSON reports carry full-precision numbers; stdout
-summaries round to 2 decimals. Every command is deterministic given its
-full flag set, seeds included.
+summaries round to 2 decimals. `baseline` reports a null gap when the seeded
+objective is 0. Every command is deterministic given its full flag set,
+seeds included.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .candidates import EmptyObnoxiousSetError, feasible_candidates, write_candidates_csv
-from .charts import write_line_chart
+from .charts import write_frontier_chart
 from .discrete import DEFAULT_NODE_BUDGET, InfeasibleCardinalityError
 from .frontier import (
     NoFeasibleCandidatesError,
@@ -98,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--mode", choices=["exact", "heuristic", "auto"], default="auto")
     s.add_argument("--starts", type=_positive_int, default=100,
                    help="heuristic multistarts (also unconstrained tries at dmin=0)")
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_nonneg_int, default=0)
     s.add_argument("--node-budget", type=_positive_int, default=DEFAULT_NODE_BUDGET,
                    help="branch-and-bound node cap in exact mode")
     s.add_argument("--out", required=True, help="JSON report to write")
@@ -114,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--out-svg", required=True)
     f.add_argument("--workers", type=_positive_int, default=os.cpu_count() or 1,
                    help="parallel grid-point workers")
-    f.add_argument("--seed", type=int, default=0)
+    f.add_argument("--seed", type=_nonneg_int, default=0)
     f.add_argument("--starts", type=_positive_int, default=100,
                    help="heuristic multistarts (also unconstrained tries at dmin=0)")
 
@@ -124,9 +126,16 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--p", type=_positive_int, required=True)
     b.add_argument("--tries", type=_positive_int, required=True,
                    help="random feasible starting tuples")
-    b.add_argument("--seed", type=int, default=0)
+    b.add_argument("--seed", type=_nonneg_int, default=0)
     b.add_argument("--out", required=True, help="JSON report to write")
     return parser
+
+
+def _write_json(report: dict, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2)
+        fh.write("\n")
+    print(f"wrote {path}")
 
 
 def cmd_generate(args) -> int:
@@ -151,8 +160,7 @@ def cmd_candidates(args) -> int:
 def cmd_solve(args) -> int:
     instance = read_instance(args.instance)
     record = solve_one(instance, args.p, args.dmin, mode=args.mode, starts=args.starts,
-                       seed=args.seed, node_budget=args.node_budget,
-                       unconstrained_tries=args.starts)
+                       seed=args.seed, node_budget=args.node_budget)
     dsol = record.discrete
     report = {
         "command": "solve",
@@ -182,10 +190,7 @@ def cmd_solve(args) -> int:
         print(f"discrete objective: {dsol.objective:.2f}"
               + (" (proven optimal over candidates)" if dsol.proven else " (heuristic)"))
     print(f"refined objective: {record.objective:.2f}")
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {args.out}")
+    _write_json(report, args.out)
     unproven_exact = args.mode == "exact" and dsol is not None and not dsol.proven
     return EXIT_UNPROVEN if unproven_exact else EXIT_OK
 
@@ -206,14 +211,7 @@ def cmd_frontier(args) -> int:
     if not solved:
         print("no grid point was solvable (all gaps)", file=sys.stderr)
         return EXIT_INFEASIBLE
-    write_line_chart(
-        args.out_svg,
-        xs=[r.dmin for r in records],
-        ys=[r.objective for r in records],
-        xlabel="minimum clearance D",
-        ylabel="objective",
-        title=f"efficient frontier, p={args.p}",
-    )
+    write_frontier_chart(records, args.out_svg)
     gaps = len(records) - len(solved)
     print(f"wrote {args.out_csv} and {args.out_svg} "
           f"({len(solved)} points, {gaps} gaps, objective "
@@ -223,11 +221,11 @@ def cmd_frontier(args) -> int:
 
 def cmd_baseline(args) -> int:
     instance = read_instance(args.instance)
-    seeded = solve_one(instance, args.p, args.dmin, seed=args.seed,
-                       unconstrained_tries=args.tries)
+    seeded = solve_one(instance, args.p, args.dmin, seed=args.seed)
     random_best = multistart_random(instance, args.dmin, args.p,
                                     tries=args.tries, seed=args.seed)
-    gap = (random_best.objective - seeded.objective) / seeded.objective
+    gap = (None if seeded.objective == 0
+           else (random_best.objective - seeded.objective) / seeded.objective)
     report = {
         "command": "baseline",
         "instance": args.instance,
@@ -241,13 +239,10 @@ def cmd_baseline(args) -> int:
         "candidate_seeded_facilities": seeded.facilities.tolist(),
         "random_multistart_facilities": random_best.facilities.tolist(),
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
     print(f"candidate-seeded objective: {seeded.objective:.2f}")
     print(f"random multistart objective ({args.tries} tries): {random_best.objective:.2f}")
-    print(f"gap: {100 * gap:.2f}%")
-    print(f"wrote {args.out}")
+    print("gap: undefined (seeded objective is 0)" if gap is None else f"gap: {100 * gap:.2f}%")
+    _write_json(report, args.out)
     return EXIT_OK
 
 

@@ -5,11 +5,11 @@ objective as a function of the minimum required clearance.
 sweep all call it. It filters the candidate vertices (as arrays), solves the
 discrete restriction (`discrete.solve`: branch-and-bound with an assignment
 and a gain bound when there are at most `discrete.EXACT_LIMIT` p-subsets,
-best of 100 interchange runs otherwise) and refines continuously
+best of `starts` interchange runs otherwise) and refines continuously
 from the selected sites. Its record carries both stages: the discrete
 solution with its selected sites, and the refined facilities, assignment,
 objective and trace. A zero clearance bypasses the candidate restriction
-entirely and runs an unconstrained multistart, so its record has no discrete
+entirely and runs `starts` unconstrained tries, so its record has no discrete
 stage. Because the feasible candidate sets are nested (larger clearance,
 smaller set), any better solution found at a larger clearance is also
 feasible at every smaller one; a post-pass propagates such wins downward so
@@ -29,7 +29,6 @@ from .discrete import DiscreteSolution
 from .instances import Instance
 
 DEFAULT_STARTS = 100
-DEFAULT_UNCONSTRAINED_TRIES = 100
 DEFAULT_GRID_STEPS = 60
 
 
@@ -83,10 +82,10 @@ def solve_one(
     starts: int = DEFAULT_STARTS,
     seed: int = 0,
     node_budget: int = discrete.DEFAULT_NODE_BUDGET,
-    unconstrained_tries: int = DEFAULT_UNCONSTRAINED_TRIES,
     _cached_vertices: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> FrontierRecord:
-    """Full pipeline at one clearance value.
+    """Full pipeline at one clearance value. `starts` sets the interchange
+    multistarts, or the unconstrained tries at D = 0.
 
     Raises NoFeasibleCandidatesError / InfeasibleCardinalityError when the
     candidate restriction is empty or smaller than p; sweep() converts these
@@ -101,7 +100,7 @@ def solve_one(
     m = int(keep.sum())
 
     if dmin == 0:
-        rsol = _unconstrained(instance, p, unconstrained_tries, seed)
+        rsol = _unconstrained(instance, p, starts, seed)
         return FrontierRecord(
             dmin=0.0, objective=rsol.objective, facilities=rsol.facilities,
             candidate_count=m, proven=False, assignment=rsol.assignment, trace=rsol.trace,
@@ -151,16 +150,16 @@ def sweep(
 ) -> list[FrontierRecord]:
     """One record (or gap marker) per grid value, envelope-repaired.
 
-    `starts` sets both the interchange multistarts and the unconstrained
-    tries at D = 0. The grid must be strictly increasing and non-negative
-    (NaN fails both checks). Records are returned in grid order; after
-    repair the reported objectives are non-decreasing in the clearance.
+    `starts` and `seed` go to each `solve_one` call. The grid must be
+    strictly increasing and non-negative (NaN fails both checks). Records
+    are returned in grid order; after repair the reported objectives are
+    non-decreasing in the clearance.
     """
     grid = [float(g) for g in grid]
     if not all(b > a for a, b in zip(grid, grid[1:])) or (grid and not grid[0] >= 0):
         raise ValueError("grid must be strictly increasing and >= 0")
     cached = candidate_vertices(instance)
-    kwargs = dict(starts=starts, seed=seed, unconstrained_tries=starts)
+    kwargs = dict(starts=starts, seed=seed)
     jobs = [(instance, p, g, kwargs, cached) for g in grid]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

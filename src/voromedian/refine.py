@@ -33,6 +33,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .candidates import sample_feasible
+from .discrete import build_matrix
 from .instances import Instance
 
 TOL_REFINE = 1e-7  # relative objective improvement below which we stop
@@ -66,9 +67,7 @@ class ContinuousSolution:
 
 def assign(facilities, instance: Instance) -> tuple[np.ndarray, float]:
     """Nearest-facility assignment (ties: lowest index) and its cost."""
-    fac = np.atleast_2d(np.asarray(facilities, dtype=float))
-    diff = instance.demand_xy[:, None, :] - fac[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    dist = build_matrix(instance, np.atleast_2d(facilities))
     idx = np.argmin(dist, axis=1)
     cost = float(instance.weights @ dist[np.arange(len(dist)), idx])
     return idx, cost

@@ -110,6 +110,12 @@ class TestSolve:
         report = json.loads((tmp_path / "s.json").read_text())
         assert report["discrete"]["proven"] is False
 
+    def test_negative_seed_usage_error(self, inst_file, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--instance", str(inst_file), "--dmin", "0.95", "--p", "2",
+                  "--seed", "-1", "--out", str(tmp_path / "s.json")])
+        assert exc.value.code == 2
+
     def test_deterministic_given_seed(self, inst_file, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
@@ -145,7 +151,7 @@ class TestSolve:
         main(["solve", "--instance", str(inst_file), "--dmin", "0", "--p", "2",
               "--starts", "5", "--seed", "3", "--out", str(out)])
         refined = json.loads(out.read_text())["refined"]
-        rec = solve_one(read_instance(inst_file), 2, 0.0, seed=3, unconstrained_tries=5)
+        rec = solve_one(read_instance(inst_file), 2, 0.0, seed=3, starts=5)
         assert refined["objective"] == rec.objective
         assert refined["facilities"] == rec.facilities.tolist()
         assert refined["assignment"] == rec.assignment.tolist()
@@ -219,6 +225,12 @@ class TestFrontier:
         row = csv.read_text().splitlines()[1].split(",")
         assert float(row[1]) == json.loads(out.read_text())["refined"]["objective"]
 
+    def test_negative_seed_usage_error(self, inst_file, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["frontier", "--instance", str(inst_file), "--p", "2", "--seed", "-5",
+                  "--out-csv", str(tmp_path / "f.csv"), "--out-svg", str(tmp_path / "f.svg")])
+        assert exc.value.code == 2
+
     def test_bad_grid_max_usage_error(self, inst_file, tmp_path):
         assert main(["frontier", "--instance", str(inst_file), "--p", "2",
                      "--grid-max", "-1", "--grid-steps", "3",
@@ -255,3 +267,34 @@ class TestBaseline:
     def test_infeasible_clearance(self, inst_file, tmp_path):
         assert main(["baseline", "--instance", str(inst_file), "--dmin", "9",
                      "--p", "2", "--tries", "5", "--out", str(tmp_path / "b.json")]) == 3
+
+    def test_negative_seed_usage_error(self, inst_file, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["baseline", "--instance", str(inst_file), "--dmin", "0.95", "--p", "2",
+                  "--tries", "5", "--seed", "-1", "--out", str(tmp_path / "b.json")])
+        assert exc.value.code == 2
+
+    def test_zero_seeded_objective_has_no_gap(self, tmp_path, capsys):
+        # p = n puts a facility on every demand point: the seeded cost is 0
+        inst, out = tmp_path / "inst30.txt", tmp_path / "b.json"
+        assert main(["generate", "--n", "30", "--out", str(inst)]) == 0
+        assert main(["baseline", "--instance", str(inst), "--dmin", "0", "--p", "30",
+                     "--tries", "2", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["candidate_seeded_objective"] == 0.0
+        assert report["gap_fraction"] is None
+        stdout = capsys.readouterr().out.splitlines()
+        assert "gap: undefined (seeded objective is 0)" in stdout
+        assert stdout[-1] == f"wrote {out}"
+
+    @pytest.mark.parametrize("dmin, tries", [("0", "5"), ("0.95", "5")])
+    def test_seeded_side_is_solve(self, inst_file, tmp_path, dmin, tries):
+        base, sol = tmp_path / "b.json", tmp_path / "s.json"
+        assert main(["baseline", "--instance", str(inst_file), "--dmin", dmin, "--p", "3",
+                     "--tries", tries, "--seed", "2", "--out", str(base)]) == 0
+        assert main(["solve", "--instance", str(inst_file), "--dmin", dmin, "--p", "3",
+                     "--seed", "2", "--out", str(sol)]) == 0
+        seeded = json.loads(base.read_text())
+        refined = json.loads(sol.read_text())["refined"]
+        assert seeded["candidate_seeded_objective"] == refined["objective"]
+        assert seeded["candidate_seeded_facilities"] == refined["facilities"]

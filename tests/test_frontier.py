@@ -16,7 +16,7 @@ from voromedian.frontier import (
 
 class TestSolveOne:
     def test_unconstrained_point(self, inst100):
-        rec = solve_one(inst100, p=3, dmin=0.0, unconstrained_tries=5, seed=1)
+        rec = solve_one(inst100, p=3, dmin=0.0, starts=5, seed=1)
         assert rec.dmin == 0.0
         assert rec.facilities.shape == (3, 2)
         assert rec.candidate_count == len(feasible_candidates(inst100, 0.0)[0])

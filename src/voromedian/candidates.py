@@ -5,6 +5,7 @@ to the instance box, annotated with its clearance (distance to the nearest
 protected point). A candidate is feasible for a minimum-distance requirement
 `dmin` when its clearance is at least `dmin`. Candidates are held as two
 arrays, `(xy, clearance)`, from the Voronoi step to the distance matrix.
+Every clearance here, sampling included, queries `instance.protected_tree`.
 
 Also provides closed-form area/reach estimates for the small feasible pocket
 around a candidate whose clearance barely exceeds the requirement (three
@@ -18,9 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .geometry import voronoi_vertices, nearest_site_distance
+from .geometry import voronoi_vertices
 from .instances import Instance
 
 
@@ -55,7 +55,7 @@ def nearest_obnoxious(q, instance: Instance) -> float:
     """Exact Euclidean distance from q to the closest protected point."""
     if instance.n_obnoxious == 0:
         raise EmptyObnoxiousSetError("instance has no protected points")
-    return float(nearest_site_distance(q, instance.obnoxious_xy)[0])
+    return float(instance.protected_tree.query(np.atleast_2d(q))[0][0])
 
 
 def candidate_vertices(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
@@ -66,8 +66,7 @@ def candidate_vertices(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
     if instance.n_obnoxious == 0:
         raise EmptyObnoxiousSetError("instance has no protected points")
     verts = voronoi_vertices(instance.obnoxious_xy, instance.box)
-    clearance = nearest_site_distance(verts, instance.obnoxious_xy)
-    return verts, clearance
+    return verts, instance.protected_tree.query(verts)[0]
 
 
 def feasible_candidates(instance: Instance, dmin: float) -> tuple[np.ndarray, np.ndarray]:
@@ -190,7 +189,6 @@ def sample_feasible(
         raise ValueError("count must be >= 1")
     box = instance.box
     rng = Lcg64(seed)
-    tree = cKDTree(instance.obnoxious_xy) if instance.n_obnoxious else None
     accepted: list[np.ndarray] = []
     found = 0
     attempts = 0
@@ -204,9 +202,8 @@ def sample_feasible(
             ]
         )
         attempts += take
-        if tree is not None and dmin > 0:
-            ok = tree.query(pts)[0] >= dmin
-            pts = pts[ok]
+        if dmin > 0:
+            pts = pts[instance.protected_tree.query(pts)[0] >= dmin]
         if len(pts):
             accepted.append(pts)
             found += len(pts)

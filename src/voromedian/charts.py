@@ -17,10 +17,12 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 50
 
 
 def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    """Round tick positions covering [lo, hi]."""
-    if hi <= lo:
-        return [lo]
+    """Round tick positions covering [lo, hi], at most target + 2; just [lo] for an
+    empty span, one too narrow for distinct 12-decimal ticks, or one near overflow."""
     raw = (hi - lo) / target
+    scale = max(abs(lo), abs(hi), 1.0)
+    if not (1e-12 * scale < raw and scale < 1e300):
+        return [lo]
     mag = 10 ** math.floor(math.log10(raw))
     step = min(s * mag for s in (1, 2, 5, 10) if s * mag >= raw)
     first = math.ceil(lo / step) * step

@@ -37,6 +37,8 @@ from .candidates import EmptyObnoxiousSetError, feasible_candidates, write_candi
 from .charts import write_frontier_chart
 from .discrete import DEFAULT_NODE_BUDGET, InfeasibleCardinalityError
 from .frontier import (
+    DEFAULT_GRID_STEPS,
+    DEFAULT_STARTS,
     NoFeasibleCandidatesError,
     default_grid,
     solve_one,
@@ -98,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--dmin", type=_nonneg_float, required=True)
     s.add_argument("--p", type=_positive_int, required=True)
     s.add_argument("--mode", choices=["exact", "heuristic", "auto"], default="auto")
-    s.add_argument("--starts", type=_positive_int, default=100,
+    s.add_argument("--starts", type=_positive_int, default=DEFAULT_STARTS,
                    help="heuristic multistarts (also unconstrained tries at dmin=0)")
     s.add_argument("--seed", type=_nonneg_int, default=0)
     s.add_argument("--node-budget", type=_positive_int, default=DEFAULT_NODE_BUDGET,
@@ -110,14 +112,14 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--p", type=_positive_int, required=True)
     f.add_argument("--grid-max", type=float, default=None,
                    help="largest clearance (default: 1.2x best candidate clearance)")
-    f.add_argument("--grid-steps", type=_nonneg_int, default=60,
+    f.add_argument("--grid-steps", type=_nonneg_int, default=DEFAULT_GRID_STEPS,
                    help="uniform steps from 0 to grid-max (0: the single point D=0)")
     f.add_argument("--out-csv", required=True)
     f.add_argument("--out-svg", required=True)
     f.add_argument("--workers", type=_positive_int, default=os.cpu_count() or 1,
-                   help="parallel grid-point workers")
+                   help="parallel grid-point workers (at most one per grid point)")
     f.add_argument("--seed", type=_nonneg_int, default=0)
-    f.add_argument("--starts", type=_positive_int, default=100,
+    f.add_argument("--starts", type=_positive_int, default=DEFAULT_STARTS,
                    help="heuristic multistarts (also unconstrained tries at dmin=0)")
 
     b = sub.add_parser("baseline", help="seeded vs random-start comparison")

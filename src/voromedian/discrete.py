@@ -192,8 +192,6 @@ def _local_search(d, weights, sel: list[int], rng) -> tuple[list[int], float]:
     nd, m = d.shape
     p = len(sel)
     cols = np.array(sorted(sel), dtype=int)  # slot -> column
-    if p == m:
-        return cols.tolist(), float(weights @ d.min(axis=1))
     if p == 1:
         # no second-nearest facility: the swap delta is a column-cost difference
         cost = weights @ d

@@ -153,7 +153,7 @@ def sweep(
     `starts` and `seed` go to each `solve_one` call. The grid must be
     strictly increasing and non-negative (NaN fails both checks). Records
     are returned in grid order; after repair the reported objectives are
-    non-decreasing in the clearance.
+    non-decreasing in the clearance. `workers` is capped at len(grid).
     """
     grid = [float(g) for g in grid]
     if not all(b > a for a, b in zip(grid, grid[1:])) or (grid and not grid[0] >= 0):
@@ -161,6 +161,7 @@ def sweep(
     cached = candidate_vertices(instance)
     kwargs = dict(starts=starts, seed=seed)
     jobs = [(instance, p, g, kwargs, cached) for g in grid]
+    workers = min(workers, len(grid))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_solve_point, jobs))

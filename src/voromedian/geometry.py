@@ -203,20 +203,11 @@ def _dedup_sort(points: np.ndarray, sites: np.ndarray, box: BoundingBox) -> np.n
     points = box.clamp(points)
     order = np.lexsort((points[:, 1], points[:, 0]))
     points = points[order]
-    tree = cKDTree(points)
     keep = np.ones(len(points), dtype=bool)
-    for i, j in sorted(tree.query_pairs(EPS_DEDUP)):
+    for i, j in sorted(cKDTree(points).query_pairs(EPS_DEDUP)):
         if keep[i]:
             keep[j] = False
     points = points[keep]
 
-    order = np.lexsort((points[:, 1], points[:, 0], -nearest_site_distance(points, sites)))
+    order = np.lexsort((points[:, 1], points[:, 0], -cKDTree(sites).query(points)[0]))
     return points[order]
-
-
-def nearest_site_distance(points, sites) -> np.ndarray:
-    """Distance from each query point to its nearest site (KD-tree backed;
-    values identical to the direct pairwise minimum)."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    dist, _ = cKDTree(np.asarray(sites, dtype=float)).query(points)
-    return dist

@@ -8,6 +8,8 @@ recurrence so that results can be compared across implementations:
 with seed 97 driving the x coordinates and seed 367 the y coordinates.
 The seed itself is the first value of each stream, every value is divided
 by 10000, and the resulting points live in a 10 x 10 square.
+
+Each `Instance` builds its protected-point KD-tree, the clearance oracle, once.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .geometry import BoundingBox
 
@@ -67,6 +70,8 @@ class Instance:
     """Demand points with weights, protected (obnoxious-affected) points, box.
 
     The demand and protected sets may coincide, overlap or be disjoint.
+    `protected_tree.query(pts)[0]` is the clearance oracle: each point's
+    distance to the nearest protected point, `inf` when there is none.
     """
 
     demand_xy: np.ndarray  # (nd, 2)
@@ -74,6 +79,7 @@ class Instance:
     obnoxious_xy: np.ndarray  # (no, 2)
     box: BoundingBox
     name: str = field(default="", compare=False)
+    protected_tree: cKDTree = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.demand_xy = np.asarray(self.demand_xy, dtype=float).reshape(-1, 2)
@@ -88,6 +94,7 @@ class Instance:
         for pts in (self.demand_xy, self.obnoxious_xy):
             if len(pts) and not self.box.contains(pts).all():
                 raise ValueError("point outside bounding box")
+        self.protected_tree = cKDTree(self.obnoxious_xy)
 
     @property
     def n_demand(self) -> int:

@@ -3,11 +3,11 @@
 Alternates two phases until the objective stalls: assign every demand point
 to its nearest facility, then relocate each facility within its cluster by
 damped Weiszfeld steps with minimum-distance constraint handling. A proposed
-relocation that lands closer than `dmin` to a protected point is projected
-onto the exclusion circle of the most-violated point (repeatedly, up to a
-small cap); only feasible, objective-improving iterates are accepted, and a
-rejected proposal is halved back toward the previous iterate. Facilities
-stay inside the instance box.
+relocation that lands closer than `dmin` to a protected point (a query of
+`instance.protected_tree`) is projected onto the exclusion circle of the
+most-violated point, repeatedly up to a small cap; only feasible,
+objective-improving iterates are accepted, and a rejected proposal is halved
+back toward the previous iterate. Facilities stay inside the instance box.
 
 All accepted configurations are feasible, so every returned solution is
 too. The total objective is non-increasing, both per Weiszfeld step (per
@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .candidates import sample_feasible
 from .discrete import build_matrix
@@ -73,8 +72,8 @@ def assign(facilities, instance: Instance) -> tuple[np.ndarray, float]:
     return idx, cost
 
 
-def _feasibility_fix(points: np.ndarray, instance: Instance, dmin: float,
-                     tree: cKDTree | None) -> tuple[np.ndarray, np.ndarray]:
+def _feasibility_fix(points: np.ndarray, instance: Instance,
+                     dmin: float) -> tuple[np.ndarray, np.ndarray]:
     """Clamp into the box and project onto exclusion circles until feasible.
 
     Each pass projects every violating point onto the circle of its nearest
@@ -86,8 +85,9 @@ def _feasibility_fix(points: np.ndarray, instance: Instance, dmin: float,
     lo, hi = (box.xmin, box.ymin), (box.xmax, box.ymax)
     pts = np.minimum(np.maximum(points, lo), hi)
     feasible = np.ones(len(pts), dtype=bool)
-    if tree is None or dmin <= 0:
+    if dmin <= 0:
         return pts, feasible
+    tree = instance.protected_tree
     moved = np.arange(len(pts))
     for _ in range(MAX_PROJECTIONS):
         dist, nearest = tree.query(pts[moved])
@@ -170,7 +170,6 @@ def _weber_clusters(
     facilities: np.ndarray,
     instance: Instance,
     dmin: float,
-    tree: cKDTree | None,
     tol: float,
     max_iter: int,
 ) -> np.ndarray:
@@ -205,7 +204,7 @@ def _weber_clusters(
         live = np.flatnonzero(active)
         step = fac[live]
         step += lam[live, None] * (target[live] - step)
-        step, feas = _feasibility_fix(step, instance, dmin, tree)
+        step, feas = _feasibility_fix(step, instance, dmin)
         proposal = fac.copy()
         proposal[live] = step
         # each bin sums its rows in the same order as a pass over all rows
@@ -247,17 +246,14 @@ def refine_many(instance: Instance, dmin: float, starts) -> list[ContinuousSolut
     if len(facs) == 0:
         return []
     k_all, p, _ = facs.shape
-    tree = cKDTree(instance.obnoxious_xy) if instance.n_obnoxious else None
-    if tree is not None and dmin > 0:
-        clearance = tree.query(facs.reshape(-1, 2))[0].reshape(k_all, p)
-        bad = (clearance < dmin - FEAS_TOL).any(axis=1)
-        if bad.any():
-            k = int(np.argmax(bad))
-            worst = int(np.argmin(clearance[k]))
-            raise InfeasibleStartError(
-                f"start {k}: facility {worst} at clearance "
-                f"{clearance[k, worst]:.6g} < {dmin}"
-            )
+    clearance = instance.protected_tree.query(facs.reshape(-1, 2))[0].reshape(k_all, p)
+    bad = (clearance < dmin - FEAS_TOL).any(axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        worst = int(np.argmin(clearance[k]))
+        raise InfeasibleStartError(
+            f"start {k}: facility {worst} at clearance {clearance[k, worst]:.6g} < {dmin}"
+        )
 
     x, w = instance.demand_xy, instance.weights
     assignment, objective, trace = [], [], []
@@ -272,7 +268,7 @@ def refine_many(instance: Instance, dmin: float, starts) -> list[ContinuousSolut
             break
         moved = _weber_clusters(
             x, w, _stacked_clusters([assignment[k] for k in running], p),
-            facs[running].reshape(-1, 2), instance, dmin, tree, TOL_REFINE, MAX_WEBER_ITER,
+            facs[running].reshape(-1, 2), instance, dmin, TOL_REFINE, MAX_WEBER_ITER,
         ).reshape(len(running), p, 2)
         still = []
         for j, k in enumerate(running):

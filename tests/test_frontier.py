@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from voromedian import frontier
 from voromedian.candidates import feasible_candidates, nearest_obnoxious
 from voromedian.discrete import InfeasibleCardinalityError
 from voromedian.frontier import (
@@ -95,6 +96,33 @@ class TestSweep:
         serial = sweep(inst100, p=3, grid=grid, seed=5, workers=1)
         parallel = sweep(inst100, p=3, grid=grid, seed=5, workers=3)
         assert [r.objective for r in serial] == [r.objective for r in parallel]
+
+    def test_workers_capped_at_grid_points(self, inst100, monkeypatch):
+        requested = []
+
+        class SerialPool:
+            """Records the worker count asked for and maps in this process."""
+
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(frontier, "ProcessPoolExecutor", SerialPool)
+        grid = [0.9, 1.1]
+        capped = sweep(inst100, p=2, grid=grid, seed=5, workers=8)
+        assert requested == [2]
+        serial = sweep(inst100, p=2, grid=grid, seed=5, workers=1)
+        assert [r.objective for r in capped] == [r.objective for r in serial]
+        sweep(inst100, p=2, grid=[0.9], seed=5, workers=8)
+        assert requested == [2]  # one point: no executor at all
 
 
 class TestEnvelopeRepair:

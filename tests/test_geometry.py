@@ -16,7 +16,6 @@ from voromedian.geometry import (
     _crossings,
     _dedup_sort,
     delaunay,
-    nearest_site_distance,
     voronoi_vertices,
 )
 from voromedian.instances import generate
@@ -108,7 +107,7 @@ class TestVoronoiVertices:
 
     def test_sorted_by_descending_clearance(self, inst100):
         verts = voronoi_vertices(inst100.demand_xy, inst100.box)
-        d = nearest_site_distance(verts, inst100.demand_xy)
+        d = inst100.protected_tree.query(verts)[0]
         assert (np.diff(d) <= 1e-12).all()
 
     def test_vertex_set_size_matches_clipped_diagram_identity(self, inst100):

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+import voromedian
 import voromedian.refine as refine_mod
 from voromedian.candidates import nearest_obnoxious, sample_feasible
 from voromedian.geometry import BoundingBox
@@ -33,9 +38,8 @@ def blocked_pair_instance():
 def one_cluster_weber(xy, w, start, instance, dmin, tol=TOL_REFINE, max_iter=MAX_WEBER_ITER):
     """The constrained Weiszfeld descent of a single cluster from `start`."""
     xy, w = np.atleast_2d(np.asarray(xy, float)), np.asarray(w, float)
-    tree = cKDTree(instance.obnoxious_xy) if instance.n_obnoxious else None
     c = np.zeros(len(xy), dtype=int)
-    return _weber_clusters(xy, w, c, [start], instance, dmin, tree, tol, max_iter)[0]
+    return _weber_clusters(xy, w, c, [start], instance, dmin, tol, max_iter)[0]
 
 
 def cluster_cost(xy, w, y):
@@ -188,6 +192,30 @@ class TestRefine:
         # the check runs per start inside a batch too
         with pytest.raises(RefineMonotonicityError, match="start 0: objective rose"):
             refine_many(inst, 1.0, [[[1, 1], [9, 9]], [[1, 1], [8, 8]]])
+
+    def test_objective_increase_raises_under_python_O(self):
+        # `python -O` strips assert statements; the check must survive it.
+        # A fresh interpreter, because -O is fixed at startup.
+        code = (
+            "import voromedian.refine as r\n"
+            "from voromedian.geometry import BoundingBox\n"
+            "from voromedian.instances import Instance\n"
+            "assert False, 'asserts must be stripped'\n"
+            "inst = Instance(demand_xy=[[1, 1], [9, 9]], weights=[1, 1],\n"
+            "                obnoxious_xy=[[5, 5]], box=BoundingBox(0, 0, 10, 10))\n"
+            "r._weber_clusters = lambda x, w, c, fac, *args: fac + 0.5\n"
+            "try:\n"
+            "    r.refine(inst, 1.0, [[1, 1], [9, 9]])\n"
+            "except r.RefineMonotonicityError as exc:\n"
+            "    print(exc)\n"
+        )
+        package_root = str(Path(voromedian.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert "objective rose" in result.stdout
 
     def test_local_optimum_is_fixed_point(self):
         inst = Instance(demand_xy=[[1, 1], [9, 9]], weights=[1, 1],

@@ -14,7 +14,10 @@ Werneck (2007), "A fast swap-based local search procedure for location
 problems", Ann. Oper. Res. 150: per-column gain, per-facility loss and a
 facility x column extra table are kept across iterations, and after a swap
 only the demand rows whose nearest or second-nearest facility can change
-are taken out of them and added back.
+are taken out of them and added back. Each row's columns are sorted by
+distance once per interchange call; a row's gain and extra terms are 0 at
+every column no nearer than its second-nearest open facility, so only the
+prefix before it is read.
 """
 
 from __future__ import annotations
@@ -178,16 +181,30 @@ def _greedy(d, weights, first: int | None, p: int) -> list[int]:
     return chosen
 
 
-def _local_search(d, weights, sel: list[int], rng) -> tuple[list[int], float]:
+def _row_order(d) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's columns by ascending distance (ties: lower column first)
+    and each column's position in its row's order, both int32."""
+    near = np.argsort(d, axis=1, kind="stable").astype(np.int32)
+    place = np.empty_like(near)
+    np.put_along_axis(place, near, np.arange(d.shape[1], dtype=np.int32)[None, :], axis=1)
+    return near, place
+
+
+def _local_search(d, weights, sel: list[int], rng, row_order=None) -> tuple[list[int], float]:
     """Vertex substitution to a local optimum.
 
     The delta of swapping open column r out and closed column a in is
     loss[r] - extra[r, a] - gain[a] (Resende & Werneck 2007). The three
     aggregates are sums of per-row terms that depend only on the row's
     nearest and second-nearest open facility, so after a swap only the rows
-    whose pair can change are taken out, re-ranked and added back. Facilities
-    live in slots: the inserted column takes the removed column's slot. The
-    first improving swap in a per-iteration random order is applied.
+    whose pair can change are taken out, re-ranked and added back; when
+    they are at least half of the rows, the sums are rebuilt from every row
+    instead. A row's gain and extra terms vanish at every column no nearer
+    than its second-nearest facility, so they are read from the prefix of
+    the row's columns sorted by distance (`row_order`, `_row_order(d)` when
+    absent). Facilities live in slots: the inserted column takes the
+    removed column's slot. The first improving swap in a per-iteration
+    random order is applied.
     """
     nd, m = d.shape
     p = len(sel)
@@ -206,6 +223,7 @@ def _local_search(d, weights, sel: list[int], rng) -> tuple[list[int], float]:
             order = rng.permutation(m - 1)
             col = int(closed[order[np.nonzero(improving[order])[0][0]]])
 
+    near, place = _row_order(d) if row_order is None else row_order
     slot_of = np.full(m, -1)  # column -> slot, -1 when closed
     slot_of[cols] = np.arange(p)
     s1 = np.empty(nd, dtype=int)  # slot of the nearest open facility
@@ -217,30 +235,36 @@ def _local_search(d, weights, sel: list[int], rng) -> tuple[list[int], float]:
     extra = np.zeros((p, m))  # what opening a gives back of loss[r]
 
     def rank(rows):
-        sub = d[rows[:, None], cols]
-        part = np.argpartition(sub, 1, axis=1)[:, :2]
-        pair = sub[np.arange(len(rows))[:, None], part]
-        flip = pair[:, 0] > pair[:, 1]
-        part[flip] = part[flip, ::-1]
-        pair[flip] = pair[flip, ::-1]
-        s1[rows], s2[rows] = part[:, 0], part[:, 1]
-        d1[rows], d2[rows] = pair[:, 0], pair[:, 1]
+        sub = d.take((rows * m)[:, None] + cols)
+        a, b = np.argpartition(sub, 1, axis=1)[:, :2].T
+        i = np.arange(len(rows))
+        x, y = sub[i, a], sub[i, b]
+        flip = x > y
+        s1[rows], s2[rows] = np.where(flip, b, a), np.where(flip, a, b)
+        d1[rows], d2[rows] = np.where(flip, y, x), np.where(flip, x, y)
 
     def account(rows, sign):
         ws = sign * weights[rows]
-        n1, n2 = d1[rows, None], d2[rows, None]
-        dr = d[rows]
-        below = n1 - dr
-        gain[:] += ws @ np.maximum(below, 0.0, out=below)
-        loss[:] += np.bincount(s1[rows], weights=ws * (n2 - n1)[:, 0], minlength=p)
-        # dr becomes max(d2 - max(d, d1), 0): the part of d2 - d1 that a regains
-        np.maximum(dr, n1, out=dr)
-        np.subtract(n2, dr, out=dr)
-        np.maximum(dr, 0.0, out=dr)
-        onehot = s1[rows, None] == np.arange(p)[None, :]
-        # a C-ordered left operand: threaded OpenBLAS took up to 50x longer
-        # on the transposed view at nd=1000
-        extra[:] += np.ascontiguousarray((onehot * ws[:, None]).T) @ dr
+        r1, n1, n2 = s1[rows], d1[rows], d2[rows]
+        loss[:] += np.bincount(r1, weights=ws * (n2 - n1), minlength=p)
+        # in a row's order, the columns past its nearest (second-nearest)
+        # open facility lie no nearer, so its gain (extra) terms there are 0
+        w1 = place[rows, cols[r1]].max(initial=0)
+        w2 = place[rows, cols[s2[rows]]].max(initial=0)
+        at = near[rows, :w2]
+        dw = d.take(at + (rows * m)[:, None])
+        ws, n1, n2 = ws[:, None], n1[:, None], n2[:, None]
+        term = n1 - dw[:, :w1]
+        np.maximum(term, 0.0, out=term)
+        term *= ws
+        gain[:] += np.bincount(at[:, :w1].ravel(), weights=term.ravel(), minlength=m)
+        # d2 - max(d, d1), floored at 0: the part of d2 - d1 that a regains
+        np.maximum(dw, n1, out=dw)
+        np.subtract(n2, dw, out=dw)
+        np.maximum(dw, 0.0, out=dw)
+        dw *= ws
+        at = at + (r1 * m)[:, None]
+        extra[:] += np.bincount(at.ravel(), weights=dw.ravel(), minlength=p * m).reshape(p, m)
 
     every = np.arange(nd)
     rank(every)
@@ -248,18 +272,22 @@ def _local_search(d, weights, sel: list[int], rng) -> tuple[list[int], float]:
     while True:
         by_col = np.argsort(cols)  # delta rows follow ascending open columns
         closed = np.flatnonzero(slot_of < 0)
-        delta = (loss[by_col, None] - extra[by_col[:, None], closed]) - gain[None, closed]
+        delta = (loss[by_col, None] - extra.take(by_col, 0).take(closed, 1)) - gain.take(closed)
         improving = delta.ravel() < -1e-9
         if not improving.any():
             return sorted(cols.tolist()), float(weights @ d1)
         # first improving pair in this iteration's random scan order
         order = rng.permutation(p * len(closed))
-        r_pos, a_pos = divmod(int(order[np.nonzero(improving[order])[0][0]]), len(closed))
+        r_pos, a_pos = divmod(int(order[np.argmax(improving[order])]), len(closed))
         slot, new = int(by_col[r_pos]), int(closed[a_pos])
         touched = np.flatnonzero((s1 == slot) | (s2 == slot) | (d[:, new] < d2))
-        account(touched, -1.0)
-        loss[slot] = 0.0
-        extra[slot] = 0.0
+        if 2 * len(touched) < nd:
+            account(touched, -1.0)
+            loss[slot] = 0.0
+            extra[slot] = 0.0
+        else:  # rebuilding the sums reads fewer rows (every row at p=2)
+            touched = every
+            gain[:] = loss[:] = extra[:] = 0.0
         slot_of[cols[slot]] = -1
         slot_of[new] = slot
         cols[slot] = new
@@ -287,6 +315,8 @@ def solve_interchange(
     if m < p:
         raise InfeasibleCardinalityError(f"{m} candidates < p={p}")
 
+    # the starts share one row order; one facility never reads it
+    row_order = _row_order(matrix) if p >= 2 else None
     best_obj = math.inf
     best_sel = None
     master = np.random.default_rng(seed)
@@ -294,7 +324,7 @@ def solve_interchange(
         rng = np.random.default_rng(master.integers(2**63))
         first = None if run == 0 else int(rng.integers(m))
         chosen = _greedy(matrix, weights, first, p)
-        sel, obj = _local_search(matrix, weights, chosen, rng)
+        sel, obj = _local_search(matrix, weights, chosen, rng, row_order)
         if obj < best_obj - 1e-12 or (
             abs(obj - best_obj) <= 1e-12 and (best_sel is None or sel < best_sel)
         ):

@@ -239,13 +239,19 @@ def refine_many(instance: Instance, dmin: float, starts) -> list[ContinuousSolut
     """Location-allocation descent from each of several feasible p-point
     configurations, run in lockstep; one solution per start, in order.
 
-    Raises InfeasibleStartError, naming the first infeasible start, before
-    any descent runs.
+    Raises InfeasibleStartError, naming the first infeasible or non-finite
+    start, before any descent runs.
     """
     facs = np.array([np.atleast_2d(np.asarray(s, dtype=float)) for s in starts])
     if len(facs) == 0:
         return []
     k_all, p, _ = facs.shape
+    nonfinite = ~np.isfinite(facs).all(axis=2)
+    if nonfinite.any():
+        k, j = np.argwhere(nonfinite)[0]
+        raise InfeasibleStartError(
+            f"start {k}: facility {j} at {facs[k, j].tolist()} is not finite"
+        )
     clearance = instance.protected_tree.query(facs.reshape(-1, 2))[0].reshape(k_all, p)
     bad = (clearance < dmin - FEAS_TOL).any(axis=1)
     if bad.any():

@@ -227,7 +227,9 @@ def test_exact_matches_enumerated_benchmark_optima(request, n, dmin, p):
 
 def assert_matches_reference(monkeypatch, matrix, w, p, starts, seed):
     with monkeypatch.context() as mp:
-        mp.setattr(discrete, "_local_search", reference_local_search)
+        # the reference takes no row order: drop the fifth argument
+        mp.setattr(discrete, "_local_search",
+                   lambda d, w, sel, rng, row_order: reference_local_search(d, w, sel, rng))
         ref = solve_interchange(matrix, w, p, starts=starts, seed=seed)
     sol = solve_interchange(matrix, w, p, starts=starts, seed=seed)
     assert sol.selected == ref.selected, (p, seed)
@@ -325,11 +327,19 @@ class TestSwapAggregates:
 
     @pytest.mark.parametrize("p", [2, 5, 20])
     def test_benchmark_matrix(self, inst100, p):
-        matrix = build_matrix(inst100, feasible_candidates(inst100, 0.95)[0])
-        start = list(np.random.default_rng(p).choice(matrix.shape[1], size=p, replace=False))
-        stub = AggregateCheckingRng(p)
-        discrete._local_search(matrix, inst100.weights, start, stub)
-        assert stub.checks > 1
+        assert_aggregates_hold(inst100, 0.95, p)
+
+    def test_wide_candidate_set(self, inst500):
+        # 239 candidates: each row's sorted-prefix window is far narrower than m
+        assert_aggregates_hold(inst500, 0.42, 20)
+
+
+def assert_aggregates_hold(inst, dmin, p):
+    matrix = build_matrix(inst, feasible_candidates(inst, dmin)[0])
+    start = list(np.random.default_rng(p).choice(matrix.shape[1], size=p, replace=False))
+    stub = AggregateCheckingRng(p)
+    discrete._local_search(matrix, inst.weights, start, stub)
+    assert stub.checks > 1
 
 
 class TestSolveInterchange:

@@ -478,5 +478,17 @@ class TestRefineManyErrors:
             refine_many(inst100, 1.0, [good, bad, good])
         assert calls == []
 
+    @pytest.mark.parametrize("dmin", [0.0, 1.0])
+    def test_non_finite_start_named_before_any_descent(self, inst100, monkeypatch, dmin):
+        calls = []
+        monkeypatch.setattr(refine_mod, "_weber_clusters", lambda *a: calls.append(1))
+        good, _ = sample_feasible(inst100, 1.0, count=2, seed=3)
+        for bad in ([np.nan, 1.0], [1.0, np.inf]):
+            with pytest.raises(InfeasibleStartError, match="start 1: facility 0 .* not finite"):
+                refine_many(inst100, dmin, [good, [bad, good[1]]])
+        with pytest.raises(InfeasibleStartError, match="start 0: facility 0"):
+            refine(inst100, dmin, [[np.nan, 1], [1, 1]])
+        assert calls == []
+
     def test_empty_batch(self, inst100):
         assert refine_many(inst100, 1.0, []) == []

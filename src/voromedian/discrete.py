@@ -9,6 +9,13 @@ heuristically by multistart greedy construction plus vertex substitution.
 solution is its selected columns, their objective and whether it is proven;
 the refine stage reassigns every demand row, so no assignment is kept.
 
+Greedy construction keeps one nd x m array of each row's saving per
+column, max(cur - d, 0) against its nearest chosen column's distance cur.
+After a pick only the rows that the new column serves strictly nearer
+change cur, so only those rows are rewritten, by the same float operations
+as a full rebuild: the array, and with it every pick, is bit-identical to
+rebuilding it at every step.
+
 The substitution search evaluates swaps incrementally after Resende &
 Werneck (2007), "A fast swap-based local search procedure for location
 problems", Ann. Oper. Res. 150: per-column gain, per-facility loss and a
@@ -163,22 +170,44 @@ def solve_exact(
 
 def _greedy(d, weights, first: int | None, p: int) -> list[int]:
     """Greedy construction: best single column (or a given first column),
-    then repeatedly the column with the largest cost reduction."""
+    then repeatedly the column with the largest cost reduction
+    weights @ gap (ties: the lowest column), where
+    gap[i, j] = max(cur_i - d_ij, 0) and cur_i is row i's distance to its
+    nearest chosen column.
+
+    `gap` is built once and kept. After a pick j, only the rows with
+    d_ij < cur_i get a new cur_i; every other row's gap entries are
+    unchanged, so only those rows are rewritten, with the same subtraction
+    and floor as a full rebuild. Every entry is thus bit-identical to
+    rebuilding `gap` from scratch, and so are the reductions and the picks.
+    """
     m = d.shape[1]
     if first is None:
         first = int(np.argmin(weights @ d))
     chosen = [first]
+    if p == 1:
+        return chosen
     in_sel = np.zeros(m, dtype=bool)
     in_sel[first] = True
     cur = d[:, first].copy()
-    while len(chosen) < p:
-        reduction = weights @ np.maximum(cur[:, None] - d, 0.0)
+    gap = np.subtract(cur[:, None], d)
+    np.maximum(gap, 0.0, out=gap)
+    while True:
+        reduction = weights @ gap
         reduction[in_sel] = -1.0
         j = int(np.argmax(reduction))
         chosen.append(j)
+        if len(chosen) == p:
+            return chosen
         in_sel[j] = True
-        cur = np.minimum(cur, d[:, j])
-    return chosen
+        col = d[:, j]
+        rows = np.flatnonzero(col < cur)
+        near = col.take(rows)
+        cur[rows] = near
+        moved = d.take(rows, axis=0)
+        np.subtract(near[:, None], moved, out=moved)
+        np.maximum(moved, 0.0, out=moved)
+        gap[rows] = moved
 
 
 def _row_order(d) -> tuple[np.ndarray, np.ndarray]:

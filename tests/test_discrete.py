@@ -342,6 +342,68 @@ def assert_aggregates_hold(inst, dmin, p):
     assert stub.checks > 1
 
 
+def reference_greedy(d, weights, first, p):
+    """The dense greedy construction that the row-update one replaced: every
+    step rebuilds the whole saving array from the current distances."""
+    m = d.shape[1]
+    if first is None:
+        first = int(np.argmin(weights @ d))
+    chosen = [first]
+    in_sel = np.zeros(m, dtype=bool)
+    in_sel[first] = True
+    cur = d[:, first].copy()
+    while len(chosen) < p:
+        reduction = weights @ np.maximum(cur[:, None] - d, 0.0)
+        reduction[in_sel] = -1.0
+        j = int(np.argmax(reduction))
+        chosen.append(j)
+        in_sel[j] = True
+        cur = np.minimum(cur, d[:, j])
+    return chosen
+
+
+class TestGreedyOracle:
+    def test_tied_matrices_every_p_and_first_column(self):
+        # past the distinct nearest columns every reduction is exactly 0, so
+        # these picks pin the zero-reduction tie rule (lowest column first)
+        rng = np.random.default_rng(24)
+        for trial in range(60):
+            matrix, w = tied_problem(rng)
+            m = matrix.shape[1]
+            for p in range(1, m + 1):
+                for first in [None, *range(m)]:
+                    got = discrete._greedy(matrix, w, first, p)
+                    assert got == reference_greedy(matrix, w, first, p), (trial, p, first)
+
+    @pytest.mark.parametrize("n, dmin, p", [(1000, 0.3, 20), (100, 0.0, 15)])
+    def test_benchmark_matrices(self, request, n, dmin, p):
+        inst = request.getfixturevalue(f"inst{n}")
+        # D = 0 seeds from the demand x demand matrix
+        xy = inst.demand_xy if dmin == 0 else feasible_candidates(inst, dmin)[0]
+        matrix = build_matrix(inst, xy)
+        firsts = np.random.default_rng(n).integers(matrix.shape[1], size=5).tolist()
+        for first in [None, *firsts]:
+            got = discrete._greedy(matrix, inst.weights, first, p)
+            assert got == reference_greedy(matrix, inst.weights, first, p), first
+
+    def test_one_facility_is_the_first_column(self):
+        matrix, w = tied_problem(np.random.default_rng(25))
+        assert discrete._greedy(matrix, w, None, 1) == [int(np.argmin(w @ matrix))]
+        for first in range(matrix.shape[1]):
+            # no weights: any reduction step would fail on them
+            assert discrete._greedy(matrix, None, first, 1) == [first]
+
+    def test_every_column_in_dense_order(self):
+        rng = np.random.default_rng(26)
+        for trial in range(20):
+            matrix, w = tied_problem(rng)
+            m = matrix.shape[1]
+            for first in (None, int(rng.integers(m))):
+                got = discrete._greedy(matrix, w, first, m)
+                assert got == reference_greedy(matrix, w, first, m), (trial, first)
+                assert sorted(got) == list(range(m)), (trial, first)
+
+
 class TestSolveInterchange:
     def test_single_facility_is_best_column(self, monkeypatch):
         rng = np.random.default_rng(12)

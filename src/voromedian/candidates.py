@@ -4,7 +4,9 @@ A candidate site is a vertex of the protected-point Voronoi diagram clipped
 to the instance box, annotated with its clearance (distance to the nearest
 protected point). A candidate is feasible for a minimum-distance requirement
 `dmin` when its clearance is at least `dmin`. Candidates are held as two
-arrays, `(xy, clearance)`, from the Voronoi step to the distance matrix.
+read-only arrays, `(xy, clearance)`, from the Voronoi step to the distance
+matrix, built once per instance and sorted by descending clearance; the one
+clearance filter, `feasible_candidates`, returns a prefix of them.
 Every clearance here, sampling included, queries `instance.protected_tree`.
 
 Also provides closed-form area/reach estimates for the small feasible pocket
@@ -62,24 +64,29 @@ def candidate_vertices(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
     """All clipped Voronoi vertices of the protected set with clearances.
 
     Returns (xy, d_nearest) sorted by descending clearance, ties by (x, y).
+    The first call that succeeds keeps both, read-only, in `instance.candidates`.
     """
-    if instance.n_obnoxious == 0:
-        raise EmptyObnoxiousSetError("instance has no protected points")
-    verts = voronoi_vertices(instance.obnoxious_xy, instance.box)
-    return verts, instance.protected_tree.query(verts)[0]
+    if instance.candidates is None:
+        if instance.n_obnoxious == 0:
+            raise EmptyObnoxiousSetError("instance has no protected points")
+        verts = voronoi_vertices(instance.obnoxious_xy, instance.box)
+        clearance = instance.protected_tree.query(verts)[0]
+        verts.flags.writeable = clearance.flags.writeable = False
+        instance.candidates = verts, clearance
+    return instance.candidates
 
 
 def feasible_candidates(instance: Instance, dmin: float) -> tuple[np.ndarray, np.ndarray]:
     """Candidate sites whose clearance is >= dmin, best-cleared first.
 
-    Returns (xy, clearance): an (m, 2) coordinate array and the (m,)
-    clearances. May be empty: for large dmin no vertex survives the filter.
+    Returns (xy, clearance): read-only (m, 2) and (m,) views of the first m
+    rows of `candidate_vertices`, empty for a dmin that no vertex clears.
     """
     if not dmin >= 0:  # NaN fails too
         raise ValueError("dmin must be >= 0")
     verts, clearance = candidate_vertices(instance)
-    keep = clearance >= dmin
-    return verts[keep], clearance[keep]
+    m = int(np.count_nonzero(clearance >= dmin))  # clearances descend: a prefix
+    return verts[:m], clearance[:m]
 
 
 def write_candidates_csv(xy: np.ndarray, clearance: np.ndarray, path) -> None:

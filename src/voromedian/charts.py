@@ -16,10 +16,10 @@ WIDTH, HEIGHT = 800, 500
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 50
 
 
-def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    """Round tick positions covering [lo, hi], at most target + 2; just [lo] for an
+def _ticks(lo: float, hi: float) -> list[float]:
+    """Round ticks over [lo, hi], at least (hi - lo) / 6 apart, so at most 8; just [lo] for an
     empty span, one too narrow for distinct 12-decimal ticks, or one near overflow."""
-    raw = (hi - lo) / target
+    raw = (hi - lo) / 6
     scale = max(abs(lo), abs(hi), 1.0)
     if not (1e-12 * scale < raw and scale < 1e300):
         return [lo]

@@ -219,7 +219,7 @@ def _row_order(d) -> tuple[np.ndarray, np.ndarray]:
     return near, place
 
 
-def _local_search(d, weights, sel: list[int], rng, row_order=None) -> tuple[list[int], float]:
+def _local_search(d, weights, sel: list[int], rng, row_order) -> tuple[list[int], float]:
     """Vertex substitution to a local optimum.
 
     The delta of swapping open column r out and closed column a in is
@@ -230,9 +230,9 @@ def _local_search(d, weights, sel: list[int], rng, row_order=None) -> tuple[list
     they are at least half of the rows, the sums are rebuilt from every row
     instead. A row's gain and extra terms vanish at every column no nearer
     than its second-nearest facility, so they are read from the prefix of
-    the row's columns sorted by distance (`row_order`, `_row_order(d)` when
-    absent). Facilities live in slots: the inserted column takes the
-    removed column's slot. The first improving swap in a per-iteration
+    the row's columns sorted by distance (`row_order`, `_row_order(d)`,
+    unread at p = 1). Facilities live in slots: the inserted column takes
+    the removed column's slot. The first improving swap in a per-iteration
     random order is applied.
     """
     nd, m = d.shape
@@ -252,7 +252,7 @@ def _local_search(d, weights, sel: list[int], rng, row_order=None) -> tuple[list
             order = rng.permutation(m - 1)
             col = int(closed[order[np.nonzero(improving[order])[0][0]]])
 
-    near, place = _row_order(d) if row_order is None else row_order
+    near, place = row_order
     slot_of = np.full(m, -1)  # column -> slot, -1 when closed
     slot_of[cols] = np.arange(p)
     s1 = np.empty(nd, dtype=int)  # slot of the nearest open facility

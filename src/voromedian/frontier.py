@@ -2,29 +2,32 @@
 objective as a function of the minimum required clearance.
 
 `solve_one` is the one pipeline; the CLI, the baseline comparison and the
-sweep all call it. It filters the candidate vertices (as arrays), solves the
-discrete restriction (`discrete.solve`: branch-and-bound with an assignment
-and a gain bound when there are at most `discrete.EXACT_LIMIT` p-subsets,
-best of `starts` interchange runs otherwise) and refines continuously
-from the selected sites. Its record carries both stages: the discrete
-solution with its selected sites, and the refined facilities, assignment,
-objective and trace. A zero clearance bypasses the candidate restriction
-entirely and runs `starts` unconstrained tries, so its record has no discrete
-stage. Because the feasible candidate sets are nested (larger clearance,
-smaller set), any better solution found at a larger clearance is also
-feasible at every smaller one; a post-pass propagates such wins downward so
-the reported frontier is non-decreasing by construction.
+sweep all call it. It reads the feasible candidates (a prefix of the
+instance's one candidate set) from `candidates.feasible_candidates`, solves
+the discrete restriction (`discrete.solve`: branch-and-bound with an
+assignment and a gain bound when there are at most `discrete.EXACT_LIMIT`
+p-subsets, best of `starts` interchange runs otherwise) and refines
+continuously from the selected sites. Its record carries both stages: the
+discrete solution with its selected sites, and the refined facilities,
+assignment, objective and trace. A zero clearance bypasses the candidate
+restriction entirely and runs `starts` unconstrained tries, so its record
+has no discrete stage. `sweep` builds the candidate set before any worker
+copies the instance. Because the feasible candidate sets are nested (larger
+clearance, smaller set), any better solution found at a larger clearance is
+also feasible at every smaller one; a post-pass propagates such wins
+downward so the reported frontier is non-decreasing by construction.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import discrete, refine as refine_mod
-from .candidates import candidate_vertices
+from .candidates import candidate_vertices, feasible_candidates
 from .discrete import DiscreteSolution
 from .instances import Instance
 
@@ -82,44 +85,32 @@ def solve_one(
     starts: int = DEFAULT_STARTS,
     seed: int = 0,
     node_budget: int = discrete.DEFAULT_NODE_BUDGET,
-    _cached_vertices: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> FrontierRecord:
     """Full pipeline at one clearance value. `starts` sets the interchange
     multistarts, or the unconstrained tries at D = 0.
 
-    Raises NoFeasibleCandidatesError / InfeasibleCardinalityError when the
-    candidate restriction is empty or smaller than p; sweep() converts these
-    into gap records instead.
+    Raises ValueError for p < 1 or dmin < 0 (NaN too), NoFeasibleCandidatesError
+    when no candidate clears dmin and discrete's InfeasibleCardinalityError when
+    fewer than p do; sweep() turns the last two into gap records.
     """
-    if p < 1 or not dmin >= 0:  # NaN fails too
-        raise ValueError("need p >= 1 and dmin >= 0")
-    verts, clearance = (
-        _cached_vertices if _cached_vertices is not None else candidate_vertices(instance)
-    )
-    keep = clearance >= dmin
-    m = int(keep.sum())
-
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    cand_xy, _ = feasible_candidates(instance, dmin)
+    dsol = None
     if dmin == 0:
         rsol = _unconstrained(instance, p, starts, seed)
-        return FrontierRecord(
-            dmin=0.0, objective=rsol.objective, facilities=rsol.facilities,
-            candidate_count=m, proven=False, assignment=rsol.assignment, trace=rsol.trace,
-        )
-
-    if m == 0:
+    elif len(cand_xy) == 0:
         raise NoFeasibleCandidatesError(f"no candidate clears {dmin}")
-    if m < p:
-        raise discrete.InfeasibleCardinalityError(f"{m} candidates < p={p}")
-
-    cand_xy = verts[keep]
-    matrix = discrete.build_matrix(instance, cand_xy)
-    dsol = discrete.solve(matrix, instance.weights, p, mode, starts, seed, node_budget)
-    dsol.sites = cand_xy[list(dsol.selected)]
-    rsol = refine_mod.refine(instance, dmin, dsol.sites)
+    else:
+        matrix = discrete.build_matrix(instance, cand_xy)
+        dsol = discrete.solve(matrix, instance.weights, p, mode, starts, seed, node_budget)
+        dsol.sites = cand_xy[list(dsol.selected)]
+        rsol = refine_mod.refine(instance, dmin, dsol.sites)
     return FrontierRecord(
-        dmin=float(dmin), objective=rsol.objective, facilities=rsol.facilities,
-        candidate_count=m, proven=dsol.proven, discrete=dsol,
-        assignment=rsol.assignment, trace=rsol.trace,
+        dmin=float(dmin) or 0.0,  # -0.0 is recorded as 0.0
+        objective=rsol.objective, facilities=rsol.facilities,
+        candidate_count=len(cand_xy), proven=dsol is not None and dsol.proven,
+        discrete=dsol, assignment=rsol.assignment, trace=rsol.trace,
     )
 
 
@@ -129,13 +120,12 @@ def default_grid(instance: Instance, steps: int = DEFAULT_GRID_STEPS) -> np.ndar
     return np.linspace(0.0, 1.2 * float(clearance.max()), steps + 1)
 
 
-def _solve_point(args):
-    instance, p, dmin, kwargs, cached = args
+def _solve_point(instance: Instance, p: int, dmin: float, **kwargs) -> FrontierRecord:
     try:
-        return solve_one(instance, p, dmin, _cached_vertices=cached, **kwargs)
+        return solve_one(instance, p, dmin, **kwargs)
     except (NoFeasibleCandidatesError, discrete.InfeasibleCardinalityError):
         # a gap; candidate_count == 0 tells "no candidates" from "fewer than p"
-        m = int((cached[1] >= dmin).sum())
+        m = len(feasible_candidates(instance, dmin)[0])
         return FrontierRecord(dmin=dmin, objective=None, facilities=None,
                               candidate_count=m, proven=False)
 
@@ -158,15 +148,14 @@ def sweep(
     grid = [float(g) for g in grid]
     if not all(b > a for a, b in zip(grid, grid[1:])) or (grid and not grid[0] >= 0):
         raise ValueError("grid must be strictly increasing and >= 0")
-    cached = candidate_vertices(instance)
-    kwargs = dict(starts=starts, seed=seed)
-    jobs = [(instance, p, g, kwargs, cached) for g in grid]
+    candidate_vertices(instance)  # built here, so that every worker's copy carries it
+    solve_point = partial(_solve_point, instance, p, starts=starts, seed=seed)
     workers = min(workers, len(grid))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_solve_point, jobs))
+            records = list(pool.map(solve_point, grid))
     else:
-        records = [_solve_point(j) for j in jobs]
+        records = list(map(solve_point, grid))
     return _repair_envelope(records)
 
 

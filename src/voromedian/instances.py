@@ -72,14 +72,16 @@ class Instance:
     The demand and protected sets may coincide, overlap or be disjoint.
     `protected_tree.query(pts)[0]` is the clearance oracle: each point's
     distance to the nearest protected point, `inf` when there is none.
+    `candidates` holds the read-only (xy, clearance) arrays of
+    `candidates.candidate_vertices`, filled by its first call that succeeds.
     """
 
     demand_xy: np.ndarray  # (nd, 2)
     weights: np.ndarray  # (nd,), all finite and > 0
     obnoxious_xy: np.ndarray  # (no, 2)
     box: BoundingBox
-    name: str = field(default="", compare=False)
     protected_tree: cKDTree = field(init=False, repr=False, compare=False)
+    candidates: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.demand_xy = np.asarray(self.demand_xy, dtype=float).reshape(-1, 2)
@@ -105,10 +107,10 @@ class Instance:
         return len(self.obnoxious_xy)
 
 
-def coordinate_pool(size: int = POOL_SIZE) -> np.ndarray:
-    """The full (size, 2) coordinate pool behind every generated instance."""
-    xs = SeedStream(X_SEED).take(size)
-    ys = SeedStream(Y_SEED).take(size)
+def coordinate_pool() -> np.ndarray:
+    """The full (POOL_SIZE, 2) coordinate pool behind every generated instance."""
+    xs = SeedStream(X_SEED).take(POOL_SIZE)
+    ys = SeedStream(Y_SEED).take(POOL_SIZE)
     return np.column_stack([xs, ys]) / 10000.0
 
 
@@ -126,7 +128,6 @@ def generate(n: int) -> Instance:
         weights=np.ones(n),
         obnoxious_xy=pts.copy(),
         box=BoundingBox(0.0, 0.0, 10.0, 10.0),
-        name=f"congruential-{n}",
     )
 
 

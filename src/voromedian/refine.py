@@ -317,6 +317,8 @@ def multistart_random(
     """
     if tries < 1:
         raise ValueError("tries must be >= 1")
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
     if not dmin >= 0:  # NaN fails too
         raise ValueError("dmin must be >= 0")
     pool, _ = sample_feasible(instance, dmin, count=POOL_ATTEMPTS, seed=seed,

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import voromedian.candidates as candidates_mod
 from voromedian.candidates import (
     EmptyObnoxiousSetError,
     Lcg64,
+    candidate_vertices,
     feasible_candidates,
     nearest_obnoxious,
     sample_feasible,
@@ -16,14 +18,14 @@ from voromedian.candidates import (
     write_candidates_csv,
 )
 from voromedian.cli import main
-from voromedian.frontier import solve_one
+from voromedian.frontier import default_grid, solve_one, sweep
 from voromedian.geometry import (
     BoundingBox,
     CollinearSitesError,
     DuplicateSitesError,
     voronoi_vertices,
 )
-from voromedian.instances import Instance, write_instance
+from voromedian.instances import Instance, generate, write_instance
 
 
 def toy_instance():
@@ -379,3 +381,91 @@ class TestDegenerateGeometryProperties:
         instance = Instance(demand_xy=pts[:1], weights=[1.0], obnoxious_xy=pts, box=box)
         with pytest.raises(CollinearSitesError):
             feasible_candidates(instance, 0.0)
+
+
+class TestCandidateSetBuiltOnce:
+    """The clipped Voronoi diagram is built once per instance; every later
+    question, at any clearance, reads a prefix of the kept arrays."""
+
+    @pytest.fixture
+    def diagrams(self, monkeypatch):
+        """Counts diagrams built in this process; one built in a pool worker fails
+        the sweep, as the workers' copies of the instance must carry the set."""
+        calls, parent = [], os.getpid()
+
+        def counted(sites, box):
+            assert os.getpid() == parent, "a worker rebuilt the candidate set"
+            calls.append(len(sites))
+            return voronoi_vertices(sites, box)
+
+        monkeypatch.setattr(candidates_mod, "voronoi_vertices", counted)
+        return calls
+
+    def test_feasible_candidates_at_several_clearances(self, diagrams):
+        inst = generate(100)
+        for dmin in (0.0, 0.5, 0.95, 1.6, 5.0, 0.95):
+            feasible_candidates(inst, dmin)
+        assert len(diagrams) == 1
+
+    def test_solve_one_at_zero_and_positive_clearance(self, diagrams):
+        inst = generate(100)
+        rec = solve_one(inst, 2, -0.0, starts=2)
+        assert math.copysign(1.0, rec.dmin) == 1.0  # -0.0 is recorded as 0.0
+        solve_one(inst, 2, 1.2)
+        assert len(diagrams) == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_default_grid_then_sweep(self, diagrams, workers):
+        inst = generate(100)
+        grid = default_grid(inst, steps=2)[1:]  # one solved point and one gap
+        records = sweep(inst, 2, grid, workers=workers)
+        assert [r.objective is None for r in records] == [False, True]
+        assert len(diagrams) == 1
+
+    def test_sweep_builds_the_set_before_the_workers_copy_the_instance(self, diagrams):
+        records = sweep(generate(100), 2, [1.2, 5.0], workers=2)
+        assert [r.candidate_count for r in records] == [17, 0]
+        assert len(diagrams) == 1
+
+    def test_cli_frontier_on_the_default_grid(self, diagrams, tmp_path):
+        path = tmp_path / "inst.txt"
+        write_instance(generate(100), path)
+        code = main(["frontier", "--instance", str(path), "--p", "2", "--grid-steps", "2",
+                     "--starts", "2", "--workers", "1",
+                     "--out-csv", str(tmp_path / "f.csv"), "--out-svg", str(tmp_path / "f.svg")])
+        assert code == 0
+        assert len(diagrams) == 1
+
+    def test_kept_arrays_are_read_only(self):
+        inst = generate(100)
+        xy, clearance = candidate_vertices(inst)
+        assert inst.candidates[0] is xy and inst.candidates[1] is clearance
+        for arr in (xy, clearance, *feasible_candidates(inst, 0.95)):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_prefix_equals_the_boolean_mask_filter(self, inst100):
+        # the filter the prefix replaced, over a diagram built apart from the kept one
+        verts = voronoi_vertices(inst100.obnoxious_xy, inst100.box)
+        clearance = inst100.protected_tree.query(verts)[0]
+        dmins = np.unique(clearance)
+        for dmin in [0.0, *dmins, *np.nextafter(dmins, np.inf)]:
+            keep = clearance >= dmin
+            xy, c = feasible_candidates(inst100, dmin)
+            assert xy.tobytes() == verts[keep].tobytes(), dmin
+            assert c.tobytes() == clearance[keep].tobytes(), dmin
+
+    @pytest.mark.parametrize("protected, error, built", [
+        ([[1, 1], [4, 7], [1, 1]], DuplicateSitesError, 2),
+        ([[1, 1], [2, 2], [3, 3]], CollinearSitesError, 2),
+        (np.empty((0, 2)), EmptyObnoxiousSetError, 0),
+    ])
+    def test_a_failed_build_raises_again(self, diagrams, protected, error, built):
+        inst = Instance(demand_xy=[[5, 5]], weights=[1.0], obnoxious_xy=protected,
+                        box=BoundingBox(0, 0, 10, 10))
+        for _ in range(2):
+            with pytest.raises(error):
+                feasible_candidates(inst, 0.5)
+            assert inst.candidates is None
+        assert len(diagrams) == built

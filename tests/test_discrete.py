@@ -252,7 +252,8 @@ class TestLocalSearchOracle:
             matrix, w = tied_problem(rng)
             m = matrix.shape[1]
             start = list(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False))
-            got = discrete._local_search(matrix, w, start, np.random.default_rng(trial))
+            got = discrete._local_search(matrix, w, start, np.random.default_rng(trial),
+                                         discrete._row_order(matrix))
             ref = reference_local_search(matrix, w, start, np.random.default_rng(trial))
             assert got[0] == ref[0], trial
             # the objective is summed as evaluate() sums it, which may differ
@@ -319,7 +320,7 @@ class TestSwapAggregates:
             m = matrix.shape[1]
             start = list(rng.choice(m, size=int(rng.integers(2, m)), replace=False))
             stub = AggregateCheckingRng(trial)
-            got = discrete._local_search(matrix, w, start, stub)
+            got = discrete._local_search(matrix, w, start, stub, discrete._row_order(matrix))
             ref = reference_local_search(matrix, w, start, np.random.default_rng(trial))
             assert got[0] == ref[0], trial
             checks += stub.checks
@@ -338,7 +339,7 @@ def assert_aggregates_hold(inst, dmin, p):
     matrix = build_matrix(inst, feasible_candidates(inst, dmin)[0])
     start = list(np.random.default_rng(p).choice(matrix.shape[1], size=p, replace=False))
     stub = AggregateCheckingRng(p)
-    discrete._local_search(matrix, inst.weights, start, stub)
+    discrete._local_search(matrix, inst.weights, start, stub, discrete._row_order(matrix))
     assert stub.checks > 1
 
 

@@ -259,6 +259,11 @@ class TestMultistartRandom:
         with pytest.raises(ValueError):
             multistart_random(inst100, float("nan"), p=2, tries=1, seed=1)
 
+    @pytest.mark.parametrize("p", [0, -1])
+    def test_p_below_one_rejected_by_name(self, inst100, p):
+        with pytest.raises(ValueError, match=rf"^p must be >= 1, got {p}$"):
+            multistart_random(inst100, 0.95, p=p, tries=1, seed=1)
+
     def test_single_facility_matches_grid_oracle(self, inst100):
         """Unconstrained 1-median: dense-grid brute force as the oracle."""
         sol = multistart_random(inst100, 0.0, p=1, tries=3, seed=9)

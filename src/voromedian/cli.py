@@ -15,7 +15,8 @@ without an optimality proof.
 
 Every solve goes through `frontier.solve_one`; `solve` reports both stages
 of its record, and `baseline`'s seeded side is `solve` with default flags.
-`--starts` also sets the unconstrained tries at dmin=0.
+`--starts` caps the interchange multistarts, which stop once proven, and
+also sets the unconstrained tries at dmin=0.
 
 The solve/baseline JSON reports carry full-precision numbers; stdout
 summaries round to 2 decimals. `baseline` reports a null gap when the seeded
@@ -35,7 +36,7 @@ import numpy as np
 from . import __version__
 from .candidates import EmptyObnoxiousSetError, feasible_candidates, write_candidates_csv
 from .charts import write_frontier_chart
-from .discrete import DEFAULT_NODE_BUDGET, InfeasibleCardinalityError
+from .discrete import DEFAULT_NODE_BUDGET, PROOF_TOL, InfeasibleCardinalityError
 from .frontier import (
     DEFAULT_GRID_STEPS,
     DEFAULT_STARTS,
@@ -54,6 +55,10 @@ EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_IO = 4
 EXIT_UNPROVEN = 5
+
+STARTS_HELP = ("heuristic multistarts: at most this many; stops once a Lagrangian bound "
+               f"proves the incumbent within {PROOF_TOL:g} relative (also the "
+               "unconstrained tries at dmin=0)")
 
 
 def _positive_int(value: str) -> int:
@@ -101,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--p", type=_positive_int, required=True)
     s.add_argument("--mode", choices=["exact", "heuristic", "auto"], default="auto")
     s.add_argument("--starts", type=_positive_int, default=DEFAULT_STARTS,
-                   help="heuristic multistarts (also unconstrained tries at dmin=0)")
+                   help=STARTS_HELP)
     s.add_argument("--seed", type=_nonneg_int, default=0)
     s.add_argument("--node-budget", type=_positive_int, default=DEFAULT_NODE_BUDGET,
                    help="branch-and-bound node cap in exact mode")
@@ -120,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="parallel grid-point workers (at most one per grid point)")
     f.add_argument("--seed", type=_nonneg_int, default=0)
     f.add_argument("--starts", type=_positive_int, default=DEFAULT_STARTS,
-                   help="heuristic multistarts (also unconstrained tries at dmin=0)")
+                   help=STARTS_HELP)
 
     b = sub.add_parser("baseline", help="seeded vs random-start comparison")
     b.add_argument("--instance", required=True)
@@ -177,6 +182,7 @@ def cmd_solve(args) -> int:
             "selected": list(dsol.selected),
             "sites": dsol.sites.tolist(),
             "proven": dsol.proven,
+            "stats": dsol.stats,
         },
         "refined": {
             "objective": record.objective,

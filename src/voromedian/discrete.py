@@ -8,6 +8,19 @@ heuristically by multistart greedy construction plus vertex substitution.
 `solve` is the stage's entry point: it picks between the two by mode. A
 solution is its selected columns, their objective and whether it is proven;
 the refine stage reassigns every demand row, so no assignment is kept.
+Its `stats` dict says how much work the solve did.
+
+The multistart runs its starts in blocks of 1, 2, 4, ... and stops early
+once a Lagrangian lower bound proves the incumbent (Beasley 1993,
+"Lagrangean heuristics for location problems", EJOR 65): with the
+assignment rows relaxed by multipliers lambda,
+L(lambda) = sum_i lambda_i + the sum of the p smallest column reduced costs
+rho_j = sum_i min(0, w_i d_ij - lambda_i) (Avella, Sassano & Vasil'ev 2007,
+Math. Program. 109). After each block the bound takes subgradient steps
+aimed at the incumbent, and the p smallest-rho columns are evaluated as
+one more candidate set. A heuristic solution is proven when
+UB - LB <= PROOF_TOL * UB. A bound whose first refresh leaves a gap wider
+than GIVE_UP_GAP is dropped, and the remaining starts run without it.
 
 Greedy construction keeps one nd x m array of each row's saving per
 column, max(cur - d, 0) against its nearest chosen column's distance cur.
@@ -32,7 +45,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,6 +53,13 @@ from .instances import Instance
 
 EXACT_LIMIT = 10_000_000  # auto mode solves exactly up to this many p-subsets
 DEFAULT_NODE_BUDGET = 10_000_000
+# A solution is proven when UB - LB <= PROOF_TOL * UB: far above the ~1e-14
+# relative rounding of the bound, far below any objective difference the
+# pipeline reports.
+PROOF_TOL = 1e-9
+GIVE_UP_GAP = 1e-2  # relative gap after the first refresh that drops the bound
+FIRST_STEPS, LATER_STEPS, MAX_STEPS = 100, 50, 300  # subgradient steps
+ROW_CELLS = 1 << 16  # the bound's work buffer: at most this many matrix cells
 
 
 class InfeasibleCardinalityError(ValueError):
@@ -50,8 +70,13 @@ class InfeasibleCardinalityError(ValueError):
 class DiscreteSolution:
     selected: tuple[int, ...]  # p column indices, ascending
     objective: float
-    proven: bool  # True when optimality was proven
+    # True when optimality was proven: by branch-and-bound, or by a Lagrangian
+    # bound within PROOF_TOL relative
+    proven: bool
     sites: np.ndarray | None = None  # (p, 2) selected coordinates, when known
+    # work done: branch-and-bound "nodes"; or interchange "starts" run,
+    # "lower_bound" (None when no bound ran), "bound_steps", "bound_gave_up"
+    stats: dict = field(default_factory=dict)
 
 
 def build_matrix(instance: Instance, xy: np.ndarray) -> np.ndarray:
@@ -107,7 +132,7 @@ def _branch_and_bound(matrix, weights, p, node_budget, incumbent, incumbent_obj)
             break  # the heap is bound-ordered: everything left is pruned
         nodes += 1
         if nodes > node_budget:
-            return incumbent, False
+            return incumbent, False, nodes - 1
         need, free = p - len(chosen), m - idx
         c = matrix[:, list(chosen)].min(axis=1) if chosen else np.full(nd, np.inf)
         if need == 1 or need == free:
@@ -133,7 +158,7 @@ def _branch_and_bound(matrix, weights, p, node_budget, incumbent, incumbent_obj)
         for t in np.flatnonzero(child < incumbent_obj - 1e-12).tolist():
             heapq.heappush(heap, (float(child[t]), next(tick),
                                   chosen + (int(order[idx + t]),), idx + t + 1, False))
-    return incumbent, True
+    return incumbent, True, nodes
 
 
 def solve_exact(
@@ -158,13 +183,15 @@ def solve_exact(
     if m < p:
         raise InfeasibleCardinalityError(f"{m} candidates < p={p}")
 
-    # more interchange runs cost more than the nodes their incumbent saves
+    # more interchange runs cost more than the nodes their incumbent saves;
+    # a single start builds no Lagrangian bound
     warm = solve_interchange(matrix, weights, p, starts=1, seed=0)
-    selected, proven = _branch_and_bound(
+    selected, proven, nodes = _branch_and_bound(
         matrix, weights, p, node_budget, warm.selected, warm.objective
     )
     sol = evaluate(matrix, weights, selected)
     sol.proven = proven
+    sol.stats = {"nodes": nodes}
     return sol
 
 
@@ -324,6 +351,81 @@ def _local_search(d, weights, sel: list[int], rng, row_order) -> tuple[list[int]
         account(touched, 1.0)
 
 
+class _LagrangianBound:
+    """Lagrangian lower bound on the p-median optimum over `d`'s columns.
+
+    With mu = lambda / w (the weights are > 0), rho_j = c_j - w.mu where
+    c_j = sum_i w_i min(d_ij, mu_i), so L = sum of the p smallest c_j minus
+    (p - 1) w.mu. The subgradient at the p smallest-c columns S is
+    g_i = 1 - #{j in S: d_ij < mu_i}. c is summed a block of rows at a time,
+    so the bound keeps no nd x m array. mu starts halfway between each row's
+    nearest and second-nearest facility of the incumbent, and is carried
+    from one refresh to the next.
+    """
+
+    def __init__(self, d, weights, p, selected):
+        self.d, self.w, self.p = d, weights, p
+        near = np.sort(d[:, list(selected)], axis=1)
+        self.mu = near[:, 0] if p == 1 else 0.5 * (near[:, 0] + near[:, 1])
+        self.rows = max(1, ROW_CELLS // d.shape[1])
+        self.buf = np.empty((min(self.rows, len(d)), d.shape[1]))
+        self.lb, self.steps = -math.inf, 0
+
+    def _column_sums(self) -> np.ndarray:
+        c = np.zeros(self.d.shape[1])
+        for a in range(0, len(self.d), self.rows):
+            d = self.d[a:a + self.rows]
+            out = self.buf[:len(d)]
+            np.minimum(d, self.mu[a:a + self.rows, None], out=out)
+            c += self.w[a:a + self.rows] @ out
+        return c
+
+    def refresh(self, ub: float) -> tuple[float, np.ndarray | None]:
+        """Polyak subgradient steps aimed at `ub`, until the bound meets it
+        or the step allowance is spent; returns the best Lagrangian set seen
+        (objective, columns), or (inf, None).
+
+        The first refresh takes FIRST_STEPS and halves its step after 5
+        steps without a new best bound, so that the give-up test sees a
+        settled bound; later ones take LATER_STEPS, restart the step and
+        halve it after 20, to leave a plateau. MAX_STEPS caps the total."""
+        first = self.steps == 0
+        steps = min(FIRST_STEPS if first else LATER_STEPS, MAX_STEPS - self.steps)
+        patience, theta, stall = (5 if first else 20), 2.0, 0
+        best_obj, best_cols = math.inf, None
+        for _ in range(steps):
+            self.steps += 1
+            c = self._column_sums()
+            cols = np.argpartition(c, self.p - 1)[:self.p]
+            value = float(c[cols].sum()) - (self.p - 1) * float(self.w @ self.mu)
+            sub = self.d[:, cols]
+            if value > self.lb:
+                self.lb, stall = value, 0
+                obj = float(self.w @ sub.min(axis=1))  # as evaluate() sums it
+                if obj < best_obj:
+                    best_obj, best_cols = obj, cols
+            else:
+                stall += 1
+                if stall == patience:
+                    theta, stall = theta / 2, 0
+            target = min(ub, best_obj)
+            if target - self.lb <= PROOF_TOL * target:
+                break
+            g = 1.0 - (sub < self.mu[:, None]).sum(axis=1)
+            norm = float(g @ g)
+            if norm == 0:  # S serves every row once: L is its cost
+                break
+            self.mu = np.maximum(self.mu + (theta * (ub - value) / norm) * g / self.w, 0.0)
+        return best_obj, best_cols
+
+
+def _better(obj, sel, best_obj, best_sel) -> bool:
+    """Lower objective wins; within 1e-12, the lexicographically smaller set."""
+    return obj < best_obj - 1e-12 or (
+        abs(obj - best_obj) <= 1e-12 and (best_sel is None or sel < best_sel)
+    )
+
+
 def solve_interchange(
     matrix: np.ndarray,
     weights,
@@ -331,11 +433,20 @@ def solve_interchange(
     starts: int = 100,
     seed: int = 0,
 ) -> DiscreteSolution:
-    """Best of `starts` greedy + vertex-substitution runs.
+    """Best of at most `starts` greedy + vertex-substitution runs; stops
+    once a Lagrangian bound proves the incumbent.
 
     The first run grows greedily from the best single column; later runs
     greedily complete a random first column. Scan order of the substitution
-    neighborhood is re-randomized per iteration from the run's stream.
+    neighborhood is re-randomized per iteration from the run's stream, and
+    each run draws its stream from the seed in run order, so every run made
+    is the same as in a full `starts` multistart.
+
+    Runs go in blocks of 1, 2, 4, ... After each block, while starts remain,
+    the bound is refreshed and its best Lagrangian set competes with the
+    runs. When UB - LB <= PROOF_TOL * UB, the incumbent is returned with
+    `proven` True. A bound still GIVE_UP_GAP off after its first refresh is
+    dropped. One start, or a weight <= 0, builds no bound.
     """
     weights = np.asarray(weights, dtype=float)
     nd, m = matrix.shape
@@ -349,16 +460,40 @@ def solve_interchange(
     best_obj = math.inf
     best_sel = None
     master = np.random.default_rng(seed)
-    for run in range(starts):
-        rng = np.random.default_rng(master.integers(2**63))
-        first = None if run == 0 else int(rng.integers(m))
-        chosen = _greedy(matrix, weights, first, p)
-        sel, obj = _local_search(matrix, weights, chosen, rng, row_order)
-        if obj < best_obj - 1e-12 or (
-            abs(obj - best_obj) <= 1e-12 and (best_sel is None or sel < best_sel)
-        ):
-            best_obj, best_sel = obj, sel
-    return evaluate(matrix, weights, best_sel)
+    bound, proven, gave_up = None, False, False
+    lower_bound, steps = None, 0
+    bounded = starts > 1 and bool((weights > 0).all())
+    done, block = 0, 1
+    while done < starts:
+        for run in range(done, min(done + block, starts)):
+            rng = np.random.default_rng(master.integers(2**63))
+            first = None if run == 0 else int(rng.integers(m))
+            chosen = _greedy(matrix, weights, first, p)
+            sel, obj = _local_search(matrix, weights, chosen, rng, row_order)
+            if _better(obj, sel, best_obj, best_sel):
+                best_obj, best_sel = obj, sel
+        done, block = run + 1, 2 * block
+        if not bounded or done == starts:
+            continue
+        first_refresh = bound is None
+        if first_refresh:
+            bound = _LagrangianBound(matrix, weights, p, best_sel)
+        obj, cols = bound.refresh(best_obj)
+        if cols is not None:
+            sel = sorted(cols.tolist())
+            if _better(obj, sel, best_obj, best_sel):
+                best_obj, best_sel = obj, sel
+        lower_bound, steps = bound.lb, bound.steps
+        if best_obj - lower_bound <= PROOF_TOL * best_obj:
+            proven = True
+            break
+        if first_refresh and best_obj - lower_bound > GIVE_UP_GAP * best_obj:
+            bound, bounded, gave_up = None, False, True  # frees the bound's arrays
+    sol = evaluate(matrix, weights, best_sel)
+    sol.proven = proven
+    sol.stats = {"starts": done, "lower_bound": lower_bound, "bound_steps": steps,
+                 "bound_gave_up": gave_up}
+    return sol
 
 
 def solve(
@@ -370,9 +505,10 @@ def solve(
     seed: int = 0,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> DiscreteSolution:
-    """The discrete stage by mode: "exact", "heuristic" (best of `starts`
-    interchange runs) or "auto", exact when there are at most EXACT_LIMIT
-    p-subsets and heuristic otherwise."""
+    """The discrete stage by mode: "exact", "heuristic" (best of at most
+    `starts` interchange runs; stops once proven within PROOF_TOL relative)
+    or "auto", exact when there are at most EXACT_LIMIT p-subsets and
+    heuristic otherwise."""
     if mode not in ("auto", "exact", "heuristic"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "exact" or (mode == "auto" and math.comb(matrix.shape[1], p) <= EXACT_LIMIT):

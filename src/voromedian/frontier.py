@@ -6,7 +6,9 @@ sweep all call it. It reads the feasible candidates (a prefix of the
 instance's one candidate set) from `candidates.feasible_candidates`, solves
 the discrete restriction (`discrete.solve`: branch-and-bound with an
 assignment and a gain bound when there are at most `discrete.EXACT_LIMIT`
-p-subsets, best of `starts` interchange runs otherwise) and refines
+p-subsets, otherwise the best of at most `starts` interchange runs, which
+stop once a Lagrangian bound proves the incumbent within
+`discrete.PROOF_TOL` relative) and refines
 continuously from the selected sites. Its record carries both stages: the
 discrete solution with its selected sites, and the refined facilities,
 assignment, objective and trace. A zero clearance bypasses the candidate
@@ -45,7 +47,9 @@ class FrontierRecord:
     objective: float | None  # None marks a gap (no solvable restriction)
     facilities: np.ndarray | None  # (p, 2) or None on a gap
     candidate_count: int
-    proven: bool  # the discrete optimum over this record's own candidates was proven
+    # the discrete optimum over this record's own candidates was proven: by
+    # branch-and-bound, or by the Lagrangian bound within discrete.PROOF_TOL
+    proven: bool
     repaired: bool = False
     repaired_from: float | None = None  # clearance the adopted solution was found at
     discrete: DiscreteSolution | None = None  # None at D = 0 and on a gap
@@ -86,8 +90,9 @@ def solve_one(
     seed: int = 0,
     node_budget: int = discrete.DEFAULT_NODE_BUDGET,
 ) -> FrontierRecord:
-    """Full pipeline at one clearance value. `starts` sets the interchange
-    multistarts, or the unconstrained tries at D = 0.
+    """Full pipeline at one clearance value. `starts` caps the interchange
+    multistarts, which stop once proven within `discrete.PROOF_TOL`
+    relative; at D = 0 it sets the unconstrained tries.
 
     Raises ValueError for p < 1 or dmin < 0 (NaN too), NoFeasibleCandidatesError
     when no candidate clears dmin and discrete's InfeasibleCardinalityError when

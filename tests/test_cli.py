@@ -138,6 +138,7 @@ class TestSolve:
             "selected": list(rec.discrete.selected),
             "sites": rec.discrete.sites.tolist(),
             "proven": rec.discrete.proven,
+            "stats": rec.discrete.stats,
         }
         assert report["refined"] == {
             "objective": rec.objective,

@@ -465,3 +465,87 @@ class TestSolveInterchange:
         matrix, w = random_problem(np.random.default_rng(11), 5, 3)
         with pytest.raises(InfeasibleCardinalityError):
             solve_interchange(matrix, w, 7)
+
+
+class TestLagrangianBound:
+    """The bound that stops the interchange multistart: it never exceeds the
+    optimum, a proof is never wrong, and it stops early where it can."""
+
+    def test_bound_below_brute_force_optimum(self):
+        rng = np.random.default_rng(40)
+        checked = 0
+        for trial in range(60):
+            matrix, w = (tied_problem(rng) if trial % 2 else
+                         random_problem(rng, int(rng.integers(3, 16)), int(rng.integers(2, 11))))
+            for p in range(1, matrix.shape[1] + 1):
+                ref_obj, _ = brute_force_pmedian(matrix, w, p)
+                # two starts: the bound refreshes once, after the first
+                lb = solve_interchange(matrix, w, p, starts=2).stats["lower_bound"]
+                assert lb <= ref_obj + discrete.PROOF_TOL * ref_obj, (trial, p)
+                checked += 1
+        assert checked > 300
+
+    def test_proofs_match_exact_on_random_problems(self):
+        rng = np.random.default_rng(41)
+        proven = 0
+        for trial in range(50):
+            matrix, w = random_problem(rng, int(rng.integers(10, 40)), int(rng.integers(6, 16)))
+            p = int(rng.integers(2, 6))
+            sol = solve_interchange(matrix, w, p, starts=20, seed=trial)
+            if sol.proven:
+                exact = solve_exact(matrix, w, p)
+                assert exact.proven
+                gap = abs(sol.objective - exact.objective)
+                assert gap <= discrete.PROOF_TOL * exact.objective, trial
+                proven += 1
+        assert proven >= 40
+
+    def test_proofs_match_enumerated_benchmark_optima(self, request):
+        proven = 0
+        for (n, dmin, p), (_, objective) in sorted(ENUMERATED_OPTIMA.items()):
+            inst = request.getfixturevalue(f"inst{n}")
+            matrix = build_matrix(inst, feasible_candidates(inst, dmin)[0])
+            for seed in (0, 1):
+                sol = solve_interchange(matrix, inst.weights, p, starts=100, seed=seed)
+                assert sol.stats["lower_bound"] <= objective * (1 + discrete.PROOF_TOL)
+                if sol.proven:
+                    assert abs(sol.objective - objective) <= discrete.PROOF_TOL * objective
+                    proven += 1
+        assert proven >= 15  # of 20
+
+    @pytest.mark.parametrize("dmin, objective", [
+        (0.2, 79.57158074083507), (0.43, 83.08321179474011),
+        (0.44, 83.08321179474011), (1.0, 141.87514201948096)])
+    def test_frontier_points_stop_early(self, inst100, dmin, objective):
+        matrix = build_matrix(inst100, feasible_candidates(inst100, dmin)[0])
+        sol = discrete.solve(matrix, inst100.weights, 15, seed=1)
+        assert sol.proven
+        assert sol.stats["starts"] < 100
+        assert sol.objective == objective
+
+    def test_gives_up_where_the_gap_stays_wide(self, inst1000):
+        matrix = build_matrix(inst1000, feasible_candidates(inst1000, 0.3)[0])
+        sol = solve_interchange(matrix, inst1000.weights, 20, starts=100, seed=1)
+        assert sol.stats["bound_gave_up"] and not sol.proven
+        assert sol.stats["starts"] == 100
+        assert sol.stats["bound_steps"] == discrete.FIRST_STEPS
+        assert sol.selected == (65, 164, 178, 246, 249, 250, 258, 263, 271, 273,
+                                304, 309, 316, 347, 359, 373, 377, 378, 384, 388)
+        assert sol.objective == 868.9763881767349
+
+    def test_exact_warm_start_builds_no_bound(self, monkeypatch):
+        built = []
+
+        class Counting(discrete._LagrangianBound):
+            def __init__(self, *args):
+                built.append(args[2])
+                super().__init__(*args)
+
+        monkeypatch.setattr(discrete, "_LagrangianBound", Counting)
+        matrix, w = random_problem(np.random.default_rng(42), 20, 12)
+        sol = solve_exact(matrix, w, 3)
+        assert sol.proven and sol.stats["nodes"] >= 1
+        assert built == []
+        assert solve_interchange(matrix, w, 3, starts=1).stats["lower_bound"] is None
+        solve_interchange(matrix, w, 3, starts=2)
+        assert built == [3]  # the counter sees a bound when one is built

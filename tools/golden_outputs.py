@@ -41,6 +41,8 @@ RUNS = [
                      "--out", "solve-exact.json"]),
     ("solve-heuristic", ["solve", *INSTANCE, "--dmin", "1.1", "--p", "3", "--mode", "heuristic",
                          "--out", "solve-heuristic.json"]),
+    ("solve-heuristic-proven", ["solve", *INSTANCE, "--dmin", "0.43", "--p", "15",
+                                "--mode", "heuristic", "--out", "solve-heuristic-proven.json"]),
     ("solve-d0", ["solve", *INSTANCE, "--dmin", "0", "--p", "2", "--starts", "5",
                   "--out", "solve-d0.json"]),
     ("solve-no-candidates", ["solve", *INSTANCE, "--dmin", "5", "--p", "2",

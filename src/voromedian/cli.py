@@ -189,6 +189,7 @@ def cmd_solve(args) -> int:
             "facilities": record.facilities.tolist(),
             "assignment": record.assignment.tolist(),
             "trace": record.trace,
+            "stats": record.refine_stats,
         },
     }
     if dsol is None:

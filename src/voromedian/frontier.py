@@ -11,7 +11,7 @@ stop once a Lagrangian bound proves the incumbent within
 `discrete.PROOF_TOL` relative) and refines
 continuously from the selected sites. Its record carries both stages: the
 discrete solution with its selected sites, and the refined facilities,
-assignment, objective and trace. A zero clearance bypasses the candidate
+assignment, objective, trace and work stats. A zero clearance bypasses the candidate
 restriction entirely and runs `starts` unconstrained tries, so its record
 has no discrete stage. `sweep` builds the candidate set before any worker
 copies the instance. Because the feasible candidate sets are nested (larger
@@ -55,6 +55,7 @@ class FrontierRecord:
     discrete: DiscreteSolution | None = None  # None at D = 0 and on a gap
     assignment: np.ndarray | None = None  # (nd,) refined facility index per demand row
     trace: list[float] | None = None  # refined objective per round
+    refine_stats: dict | None = None  # the refined stage's work (ContinuousSolution.stats)
 
 
 def _unconstrained(instance: Instance, p: int, tries: int, seed: int):
@@ -116,6 +117,7 @@ def solve_one(
         objective=rsol.objective, facilities=rsol.facilities,
         candidate_count=len(cand_xy), proven=dsol is not None and dsol.proven,
         discrete=dsol, assignment=rsol.assignment, trace=rsol.trace,
+        refine_stats=rsol.stats,
     )
 
 
@@ -167,9 +169,9 @@ def sweep(
 def _repair_envelope(records: list[FrontierRecord]) -> list[FrontierRecord]:
     """Propagate better large-clearance solutions down to smaller clearances
     (they remain feasible there), flagging replaced records. A repaired
-    record adopts the donor's refined stage (facilities, assignment, trace),
-    keeps its own discrete stage and `proven` flag, and names the clearance
-    its adopted solution was found at."""
+    record adopts the donor's refined stage (facilities, assignment, trace,
+    stats), keeps its own discrete stage and `proven` flag, and names the
+    clearance its adopted solution was found at."""
     best: FrontierRecord | None = None
     for rec in reversed(records):
         if rec.objective is None:
@@ -178,6 +180,7 @@ def _repair_envelope(records: list[FrontierRecord]) -> list[FrontierRecord]:
             rec.objective = best.objective
             rec.facilities = best.facilities.copy()
             rec.assignment, rec.trace = best.assignment, best.trace
+            rec.refine_stats = best.refine_stats
             rec.repaired = True
             rec.repaired_from = best.dmin if best.repaired_from is None else best.repaired_from
         if best is None or rec.objective <= best.objective:

@@ -23,6 +23,22 @@ converges. A facility's accept/halve schedule reads only its own cluster,
 point does not depend on the other points queried, so every start's result
 is bit-identical to descending it alone; the batch only shares the fixed
 cost of each numpy and KD-tree call.
+
+The same argument batches a facility's halvings. After a rejection the
+facility keeps its position and its cluster rows, so its next Weiszfeld
+target is the same and its next proposals are known: the step halved once,
+twice, ... up to `MAX_HALVINGS`. Under a clearance constraint a rejected
+facility proposes all of them in one pass, they share one projection loop
+(one KD-tree query per projection pass instead of one per halving), and it
+takes the first feasible, improving one. That is the proposal the
+one-halving-per-pass loop would accept, after as many proposals, so the
+iteration cap, the halving cap and the stop tests fire where they would
+there. Without a constraint there is no projection loop to share, and each
+pass proposes one step per facility.
+
+A solution's `stats` count its rounds, the Weiszfeld passes its start ran
+over all rounds, the proposals charged to its facilities (one per halving,
+batched or not) and the clearance queries made for them.
 """
 
 from __future__ import annotations
@@ -62,6 +78,8 @@ class ContinuousSolution:
     assignment: np.ndarray  # (nd,) facility index, nearest (ties: lowest)
     objective: float
     trace: list[float] = field(default_factory=list)  # objective per round
+    # rounds, passes, proposals, projected (clearance queries); module docstring
+    stats: dict = field(default_factory=dict)
 
 
 def assign(facilities, instance: Instance) -> tuple[np.ndarray, float]:
@@ -73,27 +91,31 @@ def assign(facilities, instance: Instance) -> tuple[np.ndarray, float]:
 
 
 def _feasibility_fix(points: np.ndarray, instance: Instance,
-                     dmin: float) -> tuple[np.ndarray, np.ndarray]:
+                     dmin: float) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Clamp into the box and project onto exclusion circles until feasible.
 
     Each pass projects every violating point onto the circle of its nearest
     (= most violated) protected point. Only the points a pass moved are
     queried again: the others already clear `dmin`. Returns
-    (points, feasible_mask).
+    (points, feasible_mask, queries): the clearance queries each point
+    took, None when `dmin` <= 0 leaves nothing to query.
     """
     box = instance.box
     lo, hi = (box.xmin, box.ymin), (box.xmax, box.ymax)
-    pts = np.minimum(np.maximum(points, lo), hi)
+    pts = np.maximum(points, lo)
+    np.minimum(pts, hi, out=pts)
     feasible = np.ones(len(pts), dtype=bool)
     if dmin <= 0:
-        return pts, feasible
+        return pts, feasible, None
+    queries = np.zeros(len(pts), dtype=int)
     tree = instance.protected_tree
     moved = np.arange(len(pts))
     for _ in range(MAX_PROJECTIONS):
+        queries[moved] += 1
         dist, nearest = tree.query(pts[moved])
         bad = dist < dmin - FEAS_TOL
         if not bad.any():
-            return pts, feasible
+            return pts, feasible, queries
         moved = moved[bad]
         centers = tree.data[nearest[bad]]
         offset = pts[moved] - centers
@@ -102,9 +124,15 @@ def _feasibility_fix(points: np.ndarray, instance: Instance,
         degenerate = norm < 1e-300
         offset[degenerate] = (1.0, 0.0)
         norm[degenerate] = 1.0
-        pts[moved] = np.minimum(np.maximum(centers + dmin * offset / norm[:, None], lo), hi)
+        # centers + dmin * offset / norm, clamped; in place, for a ladder's many points
+        np.multiply(dmin, offset, out=offset)
+        offset /= norm[:, None]
+        offset += centers
+        np.maximum(offset, lo, out=offset)
+        pts[moved] = np.minimum(offset, hi, out=offset)
+    queries[moved] += 1
     feasible[moved] = tree.query(pts[moved])[0] >= dmin - FEAS_TOL
-    return pts, feasible
+    return pts, feasible, queries
 
 
 def _members(x, w, c, active) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -163,6 +191,48 @@ def _weiszfeld_targets(x, w, c, fac, active) -> np.ndarray:
     return target
 
 
+def _ladder(step, live, fac, lam, target, ladder, more):
+    """`step`, the proposals of the facilities `live`, followed by rungs
+    1..more[i] of each facility ladder[i]: its step halved once, twice, ...
+    Returns the proposals, their owners and where each ladder's rung 1 is."""
+    owner = np.repeat(ladder, more)
+    at = np.cumsum(more) - more
+    rung = 1 + np.arange(len(owner)) - np.repeat(at, more)
+    steps = fac[owner]
+    steps += np.ldexp(lam[owner], -rung)[:, None] * (target[owner] - steps)
+    return np.concatenate([step, steps]), np.concatenate([live, owner]), len(step) + at
+
+
+def _climb(xi, wi, ci, obj, proposal, new_obj, accept, steps, feas, ladder, at, more):
+    """The first feasible rung of each ladder that lowers its cluster's cost.
+
+    Ladder i's rungs are steps[at[i]:at[i] + more[i]]. Rungs are costed one
+    level at a time, only the feasible ones of the ladders still climbing,
+    from their own clusters' rows. A winner's rung and cost go into
+    `proposal`, `new_obj` and `accept`. Returns the rungs charged per
+    facility: up to and including its winner, else all of them.
+    """
+    p = len(obj)
+    charged = np.zeros(p, dtype=int)
+    while len(ladder):
+        won = np.zeros(len(ladder), dtype=bool)
+        ok = np.flatnonzero(feas[at])
+        if len(ok):
+            g = ladder[ok]
+            proposal[g] = steps[at[ok]]
+            costed = np.zeros(p, dtype=bool)
+            costed[g] = True
+            cost = _cluster_costs(*_members(xi, wi, ci, costed), proposal, p)[g]
+            win = cost < obj[g]
+            new_obj[g[win]] = cost[win]
+            accept[g[win]] = True
+            won[ok[win]] = True
+        charged[ladder] += 1
+        keep = ~won & (more > 1)
+        ladder, at, more = ladder[keep], at[keep] + 1, more[keep] - 1
+    return charged
+
+
 def _weber_clusters(
     x: np.ndarray,
     w: np.ndarray,
@@ -172,6 +242,7 @@ def _weber_clusters(
     dmin: float,
     tol: float,
     max_iter: int,
+    counts: np.ndarray | None = None,
 ) -> np.ndarray:
     """Constrained Weiszfeld descent for all clusters at once.
 
@@ -181,6 +252,13 @@ def _weber_clusters(
     untouched. Only the active facilities are proposed, projected and
     costed, from the rows gathered when the active set last shrank. Cluster
     objectives never increase.
+
+    Under a clearance constraint, a facility whose last proposal was
+    rejected proposes every halving it has left in one pass (see the module
+    docstring). It is charged the proposals up to the one it takes, so
+    `max_iter` caps each facility's proposals, not the passes. `counts`, a
+    (3, p) int array, gains per facility the passes it proposed in, its
+    proposals and the clearance queries made for them.
     """
     p = len(facilities)
     fac = np.array(facilities, dtype=float)
@@ -190,8 +268,11 @@ def _weber_clusters(
     xi, wi, ci = _members(x, w, c, active)
     obj = _cluster_costs(xi, wi, ci, fac, p)
     gathered = np.count_nonzero(active)
+    passes, extra, queried = np.zeros((3, p), dtype=int)  # extra: proposals beyond one a pass
+    # the facilities that proposed in the last pass; every earlier pass had them too
+    proposed, n_proposed, ran = active.copy(), np.count_nonzero(active), 0
 
-    for _ in range(max_iter):
+    for it in range(max_iter):
         n_active = np.count_nonzero(active)
         if n_active == 0:
             break
@@ -202,29 +283,55 @@ def _weber_clusters(
         target = _weiszfeld_targets(xi, wi, ci, fac, active)
 
         live = np.flatnonzero(active)
+        n, ran = len(live), it + 1
+        if n < n_proposed:
+            passes[proposed & ~active] = it
+            proposed, n_proposed = active.copy(), n
         step = fac[live]
         step += lam[live, None] * (target[live] - step)
-        step, feas = _feasibility_fix(step, instance, dmin)
+        owner = live
+        # without a projection loop (dmin <= 0) a ladder has nothing to share
+        ladder = live[halvings[live] > 0] if dmin > 0 else ()
+        if len(ladder):
+            # the proposals each may still make after this pass's first one
+            more = np.minimum(max_iter - it - extra[ladder], MAX_HALVINGS - halvings[ladder]) - 1
+            step, owner, at = _ladder(step, live, fac, lam, target, ladder, more)
+        step, feas, queries = _feasibility_fix(step, instance, dmin)
         proposal = fac.copy()
-        proposal[live] = step
+        proposal[live] = step[:n]
         # each bin sums its rows in the same order as a pass over all rows
         new_obj = _cluster_costs(xi, wi, ci, proposal, p)
         accept = np.zeros(p, dtype=bool)
-        accept[live] = feas & (new_obj[live] < obj[live])
-        rel_gain = (obj - new_obj) / np.maximum(obj, 1e-300)
-
-        fac[accept] = proposal[accept]
-        obj[accept] = new_obj[accept]
-        lam[accept] = 1.0
-        halvings[accept] = 0
+        accept[live] = feas[:n] & (new_obj[live] < obj[live])
+        if dmin > 0:
+            queried += np.bincount(owner, weights=queries, minlength=p).astype(int)
+        if len(ladder):
+            climb = ~accept[ladder] & (more > 0)
+            charged = _climb(xi, wi, ci, obj, proposal, new_obj, accept, step, feas,
+                             ladder[climb], at[climb], more[climb])
+            extra += charged
+            halvings += charged
+            lam = np.ldexp(lam, -charged)
+        # index arrays, found once, where each masked update would scan `accept` again
+        won = np.flatnonzero(accept)
+        fac[won] = proposal[won]
+        rel_gain = (obj[won] - new_obj[won]) / np.maximum(obj[won], 1e-300)
+        obj[won] = new_obj[won]
+        lam[won] = 1.0
+        halvings[won] = 0
         # converged: last accepted step gained too little to keep iterating
-        active[accept & (rel_gain < tol)] = False
+        active[won[rel_gain < tol]] = False
 
-        reject = active & ~accept
+        reject = np.flatnonzero(active & ~accept)
         lam[reject] *= 0.5
         halvings[reject] += 1
-        active[reject & (halvings >= MAX_HALVINGS)] = False
+        active[reject[halvings[reject] >= MAX_HALVINGS]] = False
+        if dmin > 0:
+            active[extra >= max_iter - 1 - it] = False  # out of proposals
 
+    if counts is not None:
+        passes[proposed] = ran
+        counts += (passes, passes + extra, queried)
     return fac
 
 
@@ -239,9 +346,11 @@ def refine_many(instance: Instance, dmin: float, starts) -> list[ContinuousSolut
     """Location-allocation descent from each of several feasible p-point
     configurations, run in lockstep; one solution per start, in order.
 
-    Raises InfeasibleStartError, naming the first infeasible or non-finite
-    start, before any descent runs.
+    Raises ValueError for a negative or NaN `dmin`, and InfeasibleStartError,
+    naming the first infeasible or non-finite start, before any descent runs.
     """
+    if not dmin >= 0:  # NaN fails too
+        raise ValueError("dmin must be >= 0")
     facs = np.array([np.atleast_2d(np.asarray(s, dtype=float)) for s in starts])
     if len(facs) == 0:
         return []
@@ -268,14 +377,21 @@ def refine_many(instance: Instance, dmin: float, starts) -> list[ContinuousSolut
         assignment.append(c)
         objective.append(obj)
         trace.append([obj])
+    counted = np.zeros((k_all, 3), dtype=int)  # passes, proposals, queries
     running = list(range(k_all))
     for _ in range(MAX_ROUNDS):
         if not running:
             break
+        counts = np.zeros((3, len(running) * p), dtype=int)
         moved = _weber_clusters(
             x, w, _stacked_clusters([assignment[k] for k in running], p),
             facs[running].reshape(-1, 2), instance, dmin, TOL_REFINE, MAX_WEBER_ITER,
+            counts,
         ).reshape(len(running), p, 2)
+        # a start alone loops until its last facility stops
+        counts = counts.reshape(3, len(running), p)
+        counted[running] += np.column_stack(
+            [counts[0].max(axis=1), counts[1].sum(axis=1), counts[2].sum(axis=1)])
         still = []
         for j, k in enumerate(running):
             facs[k] = moved[j]
@@ -292,8 +408,10 @@ def refine_many(instance: Instance, dmin: float, starts) -> list[ContinuousSolut
                 still.append(k)
         running = still
     return [
-        ContinuousSolution(facilities=f.copy(), assignment=c, objective=o, trace=t)
-        for f, c, o, t in zip(facs, assignment, objective, trace)
+        ContinuousSolution(facilities=f.copy(), assignment=c, objective=o, trace=t,
+                           stats={"rounds": len(t) - 1, "passes": int(n[0]),
+                                  "proposals": int(n[1]), "projected": int(n[2])})
+        for f, c, o, t, n in zip(facs, assignment, objective, trace, counted)
     ]
 
 

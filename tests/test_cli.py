@@ -145,7 +145,9 @@ class TestSolve:
             "facilities": rec.facilities.tolist(),
             "assignment": rec.assignment.tolist(),
             "trace": rec.trace,
+            "stats": rec.refine_stats,
         }
+        assert set(rec.refine_stats) == {"rounds", "passes", "proposals", "projected"}
 
     def test_unconstrained_report_is_the_solve_one_record(self, inst_file, tmp_path):
         out = tmp_path / "s.json"
@@ -157,6 +159,8 @@ class TestSolve:
         assert refined["facilities"] == rec.facilities.tolist()
         assert refined["assignment"] == rec.assignment.tolist()
         assert refined["trace"] == rec.trace
+        assert refined["stats"] == rec.refine_stats
+        assert refined["stats"]["projected"] == 0  # no clearance to query at D = 0
 
     @pytest.mark.parametrize("dmin", ["nan", "inf"])
     def test_non_finite_dmin_usage_error(self, inst_file, tmp_path, dmin):

@@ -14,6 +14,7 @@ from voromedian.candidates import nearest_obnoxious, sample_feasible
 from voromedian.geometry import BoundingBox
 from voromedian.instances import Instance
 from voromedian.refine import (
+    MAX_HALVINGS,
     MAX_WEBER_ITER,
     TOL_REFINE,
     InfeasibleStartError,
@@ -497,3 +498,84 @@ class TestRefineManyErrors:
 
     def test_empty_batch(self, inst100):
         assert refine_many(inst100, 1.0, []) == []
+
+    @pytest.mark.parametrize("dmin", [float("nan"), -1.0])
+    def test_bad_dmin_rejected_before_any_descent(self, inst100, monkeypatch, dmin):
+        calls = []
+        monkeypatch.setattr(refine_mod, "_weber_clusters", lambda *a: calls.append(1))
+        with pytest.raises(ValueError, match=r"^dmin must be >= 0$"):
+            refine(inst100, dmin, inst100.demand_xy[:3])
+        with pytest.raises(ValueError, match=r"^dmin must be >= 0$"):
+            refine_many(inst100, dmin, [inst100.demand_xy[:3]] * 2)
+        assert calls == []
+
+
+def descend_both(instance, dmin, start, max_iter):
+    """One cluster set from `start`, descended by the ladder and by the
+    one-halving-per-pass reference; the ladder's counts come too."""
+    x, w = instance.demand_xy, instance.weights
+    c, _ = assign(start, instance)
+    counts = np.zeros((3, len(start)), dtype=int)
+    got = _weber_clusters(x, w, c, start, instance, dmin, TOL_REFINE, max_iter, counts)
+    want = reference_weber_clusters(x, w, c, start, instance, dmin,
+                                    cKDTree(instance.obnoxious_xy), TOL_REFINE, max_iter, [])
+    return got, want, counts
+
+
+class TestHalvingLadder:
+    """A rejected facility proposes all of its remaining halvings in one
+    pass. It must take the rung, at the proposal count, that the
+    one-halving-per-pass reference takes."""
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, 5, 9])
+    def test_cap_inside_a_ladder(self, inst1000, max_iter):
+        pts, _ = sample_feasible(inst1000, 0.3, count=40, seed=7)
+        for start in pts.reshape(2, 20, 2):
+            got, want, (passes, proposals, _) = descend_both(inst1000, 0.3, start, max_iter)
+            assert np.array_equal(got, want)
+            assert proposals.max() == max_iter  # the cap cut some facility short
+            if max_iter >= 3:  # a pass proposed several rungs of one facility
+                assert (proposals > passes).any()
+
+    def test_full_descent_matches_reference(self, inst1000):
+        pts, _ = sample_feasible(inst1000, 0.3, count=20, seed=8)
+        got, want, (passes, proposals, queries) = descend_both(inst1000, 0.3, pts, MAX_WEBER_ITER)
+        assert np.array_equal(got, want)
+        assert passes.sum() < proposals.sum() <= queries.sum()
+
+    @pytest.mark.parametrize("start", [[0.5, 0.0], [0.6, 0.3], [1.0, 0.5]])
+    def test_facility_exhausts_its_halvings(self, start):
+        # every start ends on a point no halved step improves, and gives
+        # up after MAX_HALVINGS rejected proposals in two passes
+        got, want, (passes, proposals, _) = descend_both(
+            blocked_pair_instance(), 0.5, np.array([start]), MAX_WEBER_ITER)
+        assert np.array_equal(got, want)
+        assert cluster_cost([[0, 0], [2, 0]], [1, 1], got[0]) == pytest.approx(2.0)
+        assert proposals[0] - passes[0] == MAX_HALVINGS - 2
+        if start == [0.5, 0.0]:  # already optimal: one rejection, then one ladder
+            assert (passes[0], proposals[0]) == (2, MAX_HALVINGS)
+
+    def test_unconstrained_proposes_one_step_per_pass(self, inst100):
+        sol = refine(inst100, 0.0, inst100.demand_xy[:5])
+        assert sol.stats["projected"] == 0
+        x, w = inst100.demand_xy, inst100.weights
+        counts = np.zeros((3, 5), dtype=int)
+        _weber_clusters(x, w, sol.assignment, sol.facilities + 0.1, inst100, 0.0,
+                        TOL_REFINE, MAX_WEBER_ITER, counts)
+        assert np.array_equal(counts[0], counts[1])
+
+
+class TestRefineStats:
+    def test_counts_of_one_start(self, inst1000):
+        start, _ = sample_feasible(inst1000, 0.3, count=20, seed=9)
+        sol = refine(inst1000, 0.3, start)
+        stats = sol.stats
+        assert set(stats) == {"rounds", "passes", "proposals", "projected"}
+        assert stats["rounds"] == len(sol.trace) - 1
+        assert 0 < stats["passes"] < stats["proposals"] <= stats["projected"]
+
+    def test_a_batch_counts_each_start_as_if_alone(self, inst100):
+        pts, _ = sample_feasible(inst100, 0.95, count=12, seed=2)
+        starts = list(pts.reshape(4, 3, 2))
+        batch = refine_many(inst100, 0.95, starts)
+        assert [s.stats for s in batch] == [refine(inst100, 0.95, s).stats for s in starts]

@@ -170,10 +170,11 @@ def read_instance(path) -> Instance:
     except (TypeError, ValueError) as exc:
         raise InstanceParseError(f"bad box header: {exc}", 1) from None
 
-    counts = parse_floats(2, 2)
-    nd, no = int(counts[0]), int(counts[1])
-    if nd < 1 or no < 0 or counts[0] != nd or counts[1] != no:
+    nd, no = parse_floats(2, 2)
+    # is_integer() is False for nan and inf too
+    if not (nd.is_integer() and no.is_integer() and nd >= 1 and no >= 0):
         raise InstanceParseError("counts must be integers with nd >= 1, no >= 0", 2)
+    nd, no = int(nd), int(no)
 
     demand, weights, obnox = [], [], []
     for i in range(nd):

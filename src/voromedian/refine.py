@@ -24,21 +24,21 @@ point does not depend on the other points queried, so every start's result
 is bit-identical to descending it alone; the batch only shares the fixed
 cost of each numpy and KD-tree call.
 
-The same argument batches a facility's halvings. After a rejection the
-facility keeps its position and its cluster rows, so its next Weiszfeld
-target is the same and its next proposals are known: the step halved once,
-twice, ... up to `MAX_HALVINGS`. Under a clearance constraint a rejected
-facility proposes all of them in one pass, they share one projection loop
-(one KD-tree query per projection pass instead of one per halving), and it
-takes the first feasible, improving one. That is the proposal the
-one-halving-per-pass loop would accept, after as many proposals, so the
-iteration cap, the halving cap and the stop tests fire where they would
-there. Without a constraint there is no projection loop to share, and each
-pass proposes one step per facility.
+The same argument lets a facility try its halvings in the pass that
+rejected its step. A rejected facility keeps its position and its cluster
+rows, so its Weiszfeld target is unchanged and its next proposals are
+known: the step halved once, twice, ... up to `MAX_HALVINGS`. Each pass
+proposes every active facility's full step; the facilities whose step is
+rejected propose their halvings in one more projection loop (one KD-tree
+query per projection pass for all of them) and take the first feasible,
+improving one. That is the proposal the one-halving-per-pass descent
+accepts, after as many proposals, so the iteration cap, the halving cap
+and the stop tests fire where they fire there.
 
 A solution's `stats` count its rounds, the Weiszfeld passes its start ran
-over all rounds, the proposals charged to its facilities (one per halving,
-batched or not) and the clearance queries made for them.
+over all rounds (one full step per descending facility, with the halvings
+of the rejected ones), the proposals charged to its facilities (one per
+step or halving) and the clearance queries made for them.
 """
 
 from __future__ import annotations
@@ -78,7 +78,8 @@ class ContinuousSolution:
     assignment: np.ndarray  # (nd,) facility index, nearest (ties: lowest)
     objective: float
     trace: list[float] = field(default_factory=list)  # objective per round
-    # rounds, passes, proposals, projected (clearance queries); module docstring
+    # rounds, passes (full steps), proposals (steps and halvings), projected
+    # (clearance queries); see the module docstring
     stats: dict = field(default_factory=dict)
 
 
@@ -98,16 +99,16 @@ def _feasibility_fix(points: np.ndarray, instance: Instance,
     (= most violated) protected point. Only the points a pass moved are
     queried again: the others already clear `dmin`. Returns
     (points, feasible_mask, queries): the clearance queries each point
-    took, None when `dmin` <= 0 leaves nothing to query.
+    took, all zero when `dmin` <= 0 leaves nothing to query.
     """
     box = instance.box
     lo, hi = (box.xmin, box.ymin), (box.xmax, box.ymax)
     pts = np.maximum(points, lo)
     np.minimum(pts, hi, out=pts)
     feasible = np.ones(len(pts), dtype=bool)
-    if dmin <= 0:
-        return pts, feasible, None
     queries = np.zeros(len(pts), dtype=int)
+    if dmin <= 0:
+        return pts, feasible, queries
     tree = instance.protected_tree
     moved = np.arange(len(pts))
     for _ in range(MAX_PROJECTIONS):
@@ -191,18 +192,6 @@ def _weiszfeld_targets(x, w, c, fac, active) -> np.ndarray:
     return target
 
 
-def _ladder(step, live, fac, lam, target, ladder, more):
-    """`step`, the proposals of the facilities `live`, followed by rungs
-    1..more[i] of each facility ladder[i]: its step halved once, twice, ...
-    Returns the proposals, their owners and where each ladder's rung 1 is."""
-    owner = np.repeat(ladder, more)
-    at = np.cumsum(more) - more
-    rung = 1 + np.arange(len(owner)) - np.repeat(at, more)
-    steps = fac[owner]
-    steps += np.ldexp(lam[owner], -rung)[:, None] * (target[owner] - steps)
-    return np.concatenate([step, steps]), np.concatenate([live, owner]), len(step) + at
-
-
 def _climb(xi, wi, ci, obj, proposal, new_obj, accept, steps, feas, ladder, at, more):
     """The first feasible rung of each ladder that lowers its cluster's cost.
 
@@ -253,26 +242,22 @@ def _weber_clusters(
     costed, from the rows gathered when the active set last shrank. Cluster
     objectives never increase.
 
-    Under a clearance constraint, a facility whose last proposal was
-    rejected proposes every halving it has left in one pass (see the module
-    docstring). It is charged the proposals up to the one it takes, so
-    `max_iter` caps each facility's proposals, not the passes. `counts`, a
-    (3, p) int array, gains per facility the passes it proposed in, its
-    proposals and the clearance queries made for them.
+    A facility whose full step is rejected proposes, in the same pass,
+    every halving it has left (see the module docstring) and takes the first
+    feasible one that improves; one that takes none is out of halvings or
+    of its `max_iter` proposals, and stops. `counts`, a (3, p) int array,
+    gains per facility the passes it proposed in, its proposals and the
+    clearance queries made for them.
     """
     p = len(facilities)
     fac = np.array(facilities, dtype=float)
-    lam = np.ones(p)
-    halvings = np.zeros(p, dtype=int)
     active = np.bincount(c, minlength=p) > 0
     xi, wi, ci = _members(x, w, c, active)
     obj = _cluster_costs(xi, wi, ci, fac, p)
     gathered = np.count_nonzero(active)
-    passes, extra, queried = np.zeros((3, p), dtype=int)  # extra: proposals beyond one a pass
-    # the facilities that proposed in the last pass; every earlier pass had them too
-    proposed, n_proposed, ran = active.copy(), np.count_nonzero(active), 0
+    passes, proposals, queried = np.zeros((3, p), dtype=int)
 
-    for it in range(max_iter):
+    for _ in range(max_iter):
         n_active = np.count_nonzero(active)
         if n_active == 0:
             break
@@ -283,55 +268,46 @@ def _weber_clusters(
         target = _weiszfeld_targets(xi, wi, ci, fac, active)
 
         live = np.flatnonzero(active)
-        n, ran = len(live), it + 1
-        if n < n_proposed:
-            passes[proposed & ~active] = it
-            proposed, n_proposed = active.copy(), n
         step = fac[live]
-        step += lam[live, None] * (target[live] - step)
-        owner = live
-        # without a projection loop (dmin <= 0) a ladder has nothing to share
-        ladder = live[halvings[live] > 0] if dmin > 0 else ()
-        if len(ladder):
-            # the proposals each may still make after this pass's first one
-            more = np.minimum(max_iter - it - extra[ladder], MAX_HALVINGS - halvings[ladder]) - 1
-            step, owner, at = _ladder(step, live, fac, lam, target, ladder, more)
-        step, feas, queries = _feasibility_fix(step, instance, dmin)
+        step, feas, queries = _feasibility_fix(step + (target[live] - step), instance, dmin)
         proposal = fac.copy()
-        proposal[live] = step[:n]
+        proposal[live] = step
         # each bin sums its rows in the same order as a pass over all rows
         new_obj = _cluster_costs(xi, wi, ci, proposal, p)
         accept = np.zeros(p, dtype=bool)
-        accept[live] = feas[:n] & (new_obj[live] < obj[live])
-        if dmin > 0:
-            queried += np.bincount(owner, weights=queries, minlength=p).astype(int)
+        accept[live] = feas & (new_obj[live] < obj[live])
+        passes[live] += 1
+        proposals[live] += 1
+        queried[live] += queries
+
+        # rungs 1..more of each rejected step: fac + 2^-k (target - fac)
+        ladder = live[~accept[live]]
+        more = np.minimum(MAX_HALVINGS - 1, max_iter - proposals[ladder])
+        left = more > 0
+        ladder, more = ladder[left], more[left]
         if len(ladder):
-            climb = ~accept[ladder] & (more > 0)
-            charged = _climb(xi, wi, ci, obj, proposal, new_obj, accept, step, feas,
-                             ladder[climb], at[climb], more[climb])
-            extra += charged
-            halvings += charged
-            lam = np.ldexp(lam, -charged)
+            owner = np.repeat(ladder, more)
+            at = np.cumsum(more) - more
+            rung = 1 + np.arange(len(owner)) - np.repeat(at, more)
+            steps = fac[owner]
+            steps += np.ldexp(1.0, -rung)[:, None] * (target[owner] - steps)
+            steps, feas, queries = _feasibility_fix(steps, instance, dmin)
+            queried += np.bincount(owner, weights=queries, minlength=p).astype(int)
+            proposals += _climb(xi, wi, ci, obj, proposal, new_obj, accept, steps, feas,
+                                ladder, at, more)
+
         # index arrays, found once, where each masked update would scan `accept` again
         won = np.flatnonzero(accept)
         fac[won] = proposal[won]
         rel_gain = (obj[won] - new_obj[won]) / np.maximum(obj[won], 1e-300)
         obj[won] = new_obj[won]
-        lam[won] = 1.0
-        halvings[won] = 0
+        # a facility that took no step, or has no proposal left, stops
+        active &= accept & (proposals < max_iter)
         # converged: last accepted step gained too little to keep iterating
         active[won[rel_gain < tol]] = False
 
-        reject = np.flatnonzero(active & ~accept)
-        lam[reject] *= 0.5
-        halvings[reject] += 1
-        active[reject[halvings[reject] >= MAX_HALVINGS]] = False
-        if dmin > 0:
-            active[extra >= max_iter - 1 - it] = False  # out of proposals
-
     if counts is not None:
-        passes[proposed] = ran
-        counts += (passes, passes + extra, queried)
+        counts += (passes, proposals, queried)
     return fac
 
 

@@ -173,7 +173,9 @@ class TestSolve:
         "box 0 0 10 10\n2 3\n5 5 nan\n2 3 1\n1 1\n4 7\n8 2\n",
         "box 0 0 10 10\n2 3\n5 5 inf\n2 3 1\n1 1\n4 7\n8 2\n",
         "box 0 0 inf 10\n2 3\n5 5 1\n2 3 1\n1 1\n4 7\n8 2\n",
-    ], ids=["nan-weight", "inf-weight", "inf-box"])
+        "box 0 0 10 10\nnan 3\n5 5 1\n2 3 1\n1 1\n4 7\n8 2\n",
+        "box 0 0 10 10\n2 inf\n5 5 1\n2 3 1\n1 1\n4 7\n8 2\n",
+    ], ids=["nan-weight", "inf-weight", "inf-box", "nan-count", "inf-count"])
     def test_non_finite_instance_io_error(self, tmp_path, capsys, text):
         path = tmp_path / "inst.txt"
         path.write_text(text)

@@ -111,6 +111,14 @@ class TestInstanceIO:
             read_instance(path)
         assert err.value.line_no == 4
 
+    @pytest.mark.parametrize("counts", ["inf 1", "nan 1", "1 inf", "1 -inf", "1 nan"])
+    def test_non_finite_count_rejected(self, tmp_path, counts):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"box 0 0 10 10\n{counts}\n1 1 1\n2 2\n")
+        with pytest.raises(InstanceParseError) as err:
+            read_instance(path)
+        assert err.value.line_no == 2
+
     @pytest.mark.parametrize("header", ["box 0 0 inf 10", "box -inf 0 10 10",
                                         "box 0 nan 10 10"])
     def test_non_finite_box_rejected(self, tmp_path, header):

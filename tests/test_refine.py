@@ -309,7 +309,9 @@ def reference_cluster_costs(x, w, c, facilities, p):
 
 
 def reference_weber_clusters(x, w, c, facilities, instance, dmin, tree, tol, max_iter,
-                             degenerate_hits):
+                             degenerate_hits, proposals=None):
+    """`proposals`, when given, gains per facility the passes it was active in:
+    one proposal each."""
     p = len(facilities)
     fac = np.array(facilities, dtype=float)
     obj = reference_cluster_costs(x, w, c, fac, p)
@@ -347,6 +349,8 @@ def reference_weber_clusters(x, w, c, facilities, instance, dmin, tree, tol, max
                 eta[escape, None] * fac[escape]
                 + (1.0 - eta[escape, None]) * target[escape]
             )
+        if proposals is not None:
+            proposals += active
         proposal = fac + lam[:, None] * (target - fac)
         proposal, feas = reference_feasibility_fix(proposal, instance, dmin, tree,
                                                    degenerate_hits)
@@ -512,20 +516,24 @@ class TestRefineManyErrors:
 
 def descend_both(instance, dmin, start, max_iter):
     """One cluster set from `start`, descended by the ladder and by the
-    one-halving-per-pass reference; the ladder's counts come too."""
+    one-halving-per-pass reference; the ladder's counts come too. Each
+    facility's proposals must be the reference's."""
     x, w = instance.demand_xy, instance.weights
     c, _ = assign(start, instance)
     counts = np.zeros((3, len(start)), dtype=int)
     got = _weber_clusters(x, w, c, start, instance, dmin, TOL_REFINE, max_iter, counts)
+    proposals = np.zeros(len(start), dtype=int)
     want = reference_weber_clusters(x, w, c, start, instance, dmin,
-                                    cKDTree(instance.obnoxious_xy), TOL_REFINE, max_iter, [])
+                                    cKDTree(instance.obnoxious_xy), TOL_REFINE, max_iter, [],
+                                    proposals)
+    assert np.array_equal(counts[1], proposals)
     return got, want, counts
 
 
 class TestHalvingLadder:
-    """A rejected facility proposes all of its remaining halvings in one
-    pass. It must take the rung, at the proposal count, that the
-    one-halving-per-pass reference takes."""
+    """A facility whose step is rejected proposes all of its remaining
+    halvings in the same pass. It must take the rung, at the proposal count,
+    that the one-halving-per-pass reference takes."""
 
     @pytest.mark.parametrize("max_iter", [1, 2, 3, 5, 9])
     def test_cap_inside_a_ladder(self, inst1000, max_iter):
@@ -546,23 +554,24 @@ class TestHalvingLadder:
     @pytest.mark.parametrize("start", [[0.5, 0.0], [0.6, 0.3], [1.0, 0.5]])
     def test_facility_exhausts_its_halvings(self, start):
         # every start ends on a point no halved step improves, and gives
-        # up after MAX_HALVINGS rejected proposals in two passes
+        # up after MAX_HALVINGS rejected proposals in its last pass
         got, want, (passes, proposals, _) = descend_both(
             blocked_pair_instance(), 0.5, np.array([start]), MAX_WEBER_ITER)
         assert np.array_equal(got, want)
         assert cluster_cost([[0, 0], [2, 0]], [1, 1], got[0]) == pytest.approx(2.0)
-        assert proposals[0] - passes[0] == MAX_HALVINGS - 2
-        if start == [0.5, 0.0]:  # already optimal: one rejection, then one ladder
-            assert (passes[0], proposals[0]) == (2, MAX_HALVINGS)
+        assert proposals[0] - passes[0] == MAX_HALVINGS - 1
+        if start == [0.5, 0.0]:  # already optimal: one pass of rejections
+            assert (passes[0], proposals[0]) == (1, MAX_HALVINGS)
 
-    def test_unconstrained_proposes_one_step_per_pass(self, inst100):
-        sol = refine(inst100, 0.0, inst100.demand_xy[:5])
-        assert sol.stats["projected"] == 0
-        x, w = inst100.demand_xy, inst100.weights
-        counts = np.zeros((3, 5), dtype=int)
-        _weber_clusters(x, w, sol.assignment, sol.facilities + 0.1, inst100, 0.0,
-                        TOL_REFINE, MAX_WEBER_ITER, counts)
-        assert np.array_equal(counts[0], counts[1])
+    def test_unconstrained_ladder_matches_reference(self, inst100):
+        # no projection loop at D = 0, but a rejected step still tries its
+        # halvings in the same pass
+        start, _ = sample_feasible(inst100, 0.0, count=15, seed=1)
+        got, want, (passes, proposals, queries) = descend_both(
+            inst100, 0.0, start, MAX_WEBER_ITER)
+        assert np.array_equal(got, want)
+        assert (proposals > passes).any()
+        assert not queries.any()
 
 
 class TestRefineStats:

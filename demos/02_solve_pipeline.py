@@ -27,9 +27,10 @@ print(f"\ndiscrete stage: objective {discrete.objective:.2f} "
 for j, (x, y) in zip(discrete.selected, discrete.sites):
     print(f"  site {j:2d} at ({x:.5f}, {y:.5f})")
 
+trace = record.refined.trace
 print(f"\ncontinuous stage: objective {record.objective:.2f} "
-      f"after {len(record.trace) - 1} rounds")
-print("round trace:", " -> ".join(f"{v:.2f}" for v in record.trace))
+      f"after {len(trace) - 1} rounds")
+print("round trace:", " -> ".join(f"{v:.2f}" for v in trace))
 for f in record.facilities:
     print(f"  facility at ({f[0]:.5f}, {f[1]:.5f}), "
           f"clearance {nearest_obnoxious(f, inst):.5f}")

@@ -155,14 +155,12 @@ class Lcg64:
 
     @classmethod
     def _jump_tables(cls) -> tuple[np.ndarray, np.ndarray]:
-        """k steps map s to A^k s + C_k (mod 2^64); uint64 arithmetic wraps."""
+        """k steps map s to A^k s + C_k with C_k = INC (1 + A + ... + A^(k-1))
+        (mod 2^64); uint64 arithmetic wraps."""
         if cls._jump is None:
-            a = np.array([cls.MULTIPLIER], dtype=np.uint64)
-            c = np.array([cls.INCREMENT], dtype=np.uint64)
-            while len(a) < cls.BLOCK:
-                # L + j steps: A^(L+j) = A^j A^L and C_(L+j) = A^j C_L + C_j
-                a, c = np.concatenate([a, a * a[-1]]), np.concatenate([c, a * c[-1] + c])
-            cls._jump = (a[: cls.BLOCK], c[: cls.BLOCK])
+            a = np.cumprod(np.full(cls.BLOCK, cls.MULTIPLIER, dtype=np.uint64))
+            c = np.uint64(cls.INCREMENT) * np.cumsum(np.concatenate([[np.uint64(1)], a[:-1]]))
+            cls._jump = (a, c)
         return cls._jump
 
     def uniforms(self, count: int) -> np.ndarray:

@@ -168,7 +168,7 @@ def cmd_solve(args) -> int:
     instance = read_instance(args.instance)
     record = solve_one(instance, args.p, args.dmin, mode=args.mode, starts=args.starts,
                        seed=args.seed, node_budget=args.node_budget)
-    dsol = record.discrete
+    dsol, rsol = record.discrete, record.refined
     report = {
         "command": "solve",
         "instance": args.instance,
@@ -185,11 +185,11 @@ def cmd_solve(args) -> int:
             "stats": dsol.stats,
         },
         "refined": {
-            "objective": record.objective,
-            "facilities": record.facilities.tolist(),
-            "assignment": record.assignment.tolist(),
-            "trace": record.trace,
-            "stats": record.refine_stats,
+            "objective": rsol.objective,
+            "facilities": rsol.facilities.tolist(),
+            "assignment": rsol.assignment.tolist(),
+            "trace": rsol.trace,
+            "stats": rsol.stats,
         },
     }
     if dsol is None:

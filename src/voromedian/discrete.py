@@ -70,12 +70,12 @@ class InfeasibleCardinalityError(ValueError):
 class DiscreteSolution:
     selected: tuple[int, ...]  # p column indices, ascending
     objective: float
-    # True when optimality was proven: by branch-and-bound, or by a Lagrangian
-    # bound within PROOF_TOL relative
+    # True when optimality was proven: by branch-and-bound, by a Lagrangian
+    # bound within PROOF_TOL relative, or in closed form at p = 1
     proven: bool
     sites: np.ndarray | None = None  # (p, 2) selected coordinates, when known
-    # work done: branch-and-bound "nodes"; or interchange "starts" run,
-    # "lower_bound" (None when no bound ran), "bound_steps", "bound_gave_up"
+    # work done: branch-and-bound "nodes"; or interchange "starts" run, "lower_bound"
+    # (None when no bound ran, the objective at p = 1), "bound_steps", "bound_gave_up"
     stats: dict = field(default_factory=dict)
 
 
@@ -257,28 +257,14 @@ def _local_search(d, weights, sel: list[int], rng, row_order) -> tuple[list[int]
     they are at least half of the rows, the sums are rebuilt from every row
     instead. A row's gain and extra terms vanish at every column no nearer
     than its second-nearest facility, so they are read from the prefix of
-    the row's columns sorted by distance (`row_order`, `_row_order(d)`,
-    unread at p = 1). Facilities live in slots: the inserted column takes
-    the removed column's slot. The first improving swap in a per-iteration
-    random order is applied.
+    the row's columns sorted by distance (`row_order`, `_row_order(d)`).
+    Facilities live in slots: the inserted column takes the removed
+    column's slot. The first improving swap in a per-iteration random order
+    is applied. Takes p >= 2 facilities.
     """
     nd, m = d.shape
     p = len(sel)
     cols = np.array(sorted(sel), dtype=int)  # slot -> column
-    if p == 1:
-        # no second-nearest facility: the swap delta is a column-cost difference
-        cost = weights @ d
-        col = int(cols[0])
-        while True:
-            closed = np.delete(np.arange(m), col)
-            improving = cost[closed] - cost[col] < -1e-9
-            if not improving.any():
-                # summed from a contiguous copy, as evaluate() sums it: a
-                # strided dot product may round differently
-                return [col], float(weights @ np.ascontiguousarray(d[:, col]))
-            order = rng.permutation(m - 1)
-            col = int(closed[order[np.nonzero(improving[order])[0][0]]])
-
     near, place = row_order
     slot_of = np.full(m, -1)  # column -> slot, -1 when closed
     slot_of[cols] = np.arange(p)
@@ -366,7 +352,7 @@ class _LagrangianBound:
     def __init__(self, d, weights, p, selected):
         self.d, self.w, self.p = d, weights, p
         near = np.sort(d[:, list(selected)], axis=1)
-        self.mu = near[:, 0] if p == 1 else 0.5 * (near[:, 0] + near[:, 1])
+        self.mu = 0.5 * (near[:, 0] + near[:, 1])
         self.rows = max(1, ROW_CELLS // d.shape[1])
         self.buf = np.empty((min(self.rows, len(d)), d.shape[1]))
         self.lb, self.steps = -math.inf, 0
@@ -446,7 +432,8 @@ def solve_interchange(
     the bound is refreshed and its best Lagrangian set competes with the
     runs. When UB - LB <= PROOF_TOL * UB, the incumbent is returned with
     `proven` True. A bound still GIVE_UP_GAP off after its first refresh is
-    dropped. One start, or a weight <= 0, builds no bound.
+    dropped. One start, or a weight <= 0, builds no bound. One facility
+    needs no run: the cheapest column is the proven optimum.
     """
     weights = np.asarray(weights, dtype=float)
     nd, m = matrix.shape
@@ -454,15 +441,20 @@ def solve_interchange(
         raise ValueError("p and starts must be >= 1")
     if m < p:
         raise InfeasibleCardinalityError(f"{m} candidates < p={p}")
+    if p == 1:
+        sol = evaluate(matrix, weights, [np.argmin(weights @ matrix)])
+        sol.proven = True
+        sol.stats = {"starts": 0, "lower_bound": sol.objective, "bound_steps": 0,
+                     "bound_gave_up": False}
+        return sol
 
-    # the starts share one row order; one facility never reads it
-    row_order = _row_order(matrix) if p >= 2 else None
+    row_order = _row_order(matrix)  # the starts share one row order
     best_obj = math.inf
     best_sel = None
     master = np.random.default_rng(seed)
     bound, proven, gave_up = None, False, False
     lower_bound, steps = None, 0
-    bounded = starts > 1 and bool((weights > 0).all())
+    bounded = bool((weights > 0).all())
     done, block = 0, 1
     while done < starts:
         for run in range(done, min(done + block, starts)):

@@ -4,14 +4,10 @@ objective as a function of the minimum required clearance.
 `solve_one` is the one pipeline; the CLI, the baseline comparison and the
 sweep all call it. It reads the feasible candidates (a prefix of the
 instance's one candidate set) from `candidates.feasible_candidates`, solves
-the discrete restriction (`discrete.solve`: branch-and-bound with an
-assignment and a gain bound when there are at most `discrete.EXACT_LIMIT`
-p-subsets, otherwise the best of at most `starts` interchange runs, which
-stop once a Lagrangian bound proves the incumbent within
-`discrete.PROOF_TOL` relative) and refines
-continuously from the selected sites. Its record carries both stages: the
-discrete solution with its selected sites, and the refined facilities,
-assignment, objective, trace and work stats. A zero clearance bypasses the candidate
+the discrete restriction (`discrete.solve`, which picks exact or heuristic
+by mode) and refines continuously from the selected sites. Its record
+carries both stages: the discrete solution with its selected sites, and
+the refined `ContinuousSolution`. A zero clearance bypasses the candidate
 restriction entirely and runs `starts` unconstrained tries, so its record
 has no discrete stage. `sweep` builds the candidate set before any worker
 copies the instance. Because the feasible candidate sets are nested (larger
@@ -53,9 +49,7 @@ class FrontierRecord:
     repaired: bool = False
     repaired_from: float | None = None  # clearance the adopted solution was found at
     discrete: DiscreteSolution | None = None  # None at D = 0 and on a gap
-    assignment: np.ndarray | None = None  # (nd,) refined facility index per demand row
-    trace: list[float] | None = None  # refined objective per round
-    refine_stats: dict | None = None  # the refined stage's work (ContinuousSolution.stats)
+    refined: refine_mod.ContinuousSolution | None = None  # None on a gap
 
 
 def _unconstrained(instance: Instance, p: int, tries: int, seed: int):
@@ -91,9 +85,9 @@ def solve_one(
     seed: int = 0,
     node_budget: int = discrete.DEFAULT_NODE_BUDGET,
 ) -> FrontierRecord:
-    """Full pipeline at one clearance value. `starts` caps the interchange
-    multistarts, which stop once proven within `discrete.PROOF_TOL`
-    relative; at D = 0 it sets the unconstrained tries.
+    """Full pipeline at one clearance value. `mode`, `starts`, `seed` and
+    `node_budget` go to `discrete.solve`; at D = 0 `starts` sets the
+    unconstrained tries.
 
     Raises ValueError for p < 1 or dmin < 0 (NaN too), NoFeasibleCandidatesError
     when no candidate clears dmin and discrete's InfeasibleCardinalityError when
@@ -116,8 +110,7 @@ def solve_one(
         dmin=float(dmin) or 0.0,  # -0.0 is recorded as 0.0
         objective=rsol.objective, facilities=rsol.facilities,
         candidate_count=len(cand_xy), proven=dsol is not None and dsol.proven,
-        discrete=dsol, assignment=rsol.assignment, trace=rsol.trace,
-        refine_stats=rsol.stats,
+        discrete=dsol, refined=rsol,
     )
 
 
@@ -169,9 +162,9 @@ def sweep(
 def _repair_envelope(records: list[FrontierRecord]) -> list[FrontierRecord]:
     """Propagate better large-clearance solutions down to smaller clearances
     (they remain feasible there), flagging replaced records. A repaired
-    record adopts the donor's refined stage (facilities, assignment, trace,
-    stats), keeps its own discrete stage and `proven` flag, and names the
-    clearance its adopted solution was found at."""
+    record adopts the donor's refined stage, keeps its own discrete stage
+    and `proven` flag, and names the clearance its adopted solution was
+    found at."""
     best: FrontierRecord | None = None
     for rec in reversed(records):
         if rec.objective is None:
@@ -179,8 +172,7 @@ def _repair_envelope(records: list[FrontierRecord]) -> list[FrontierRecord]:
         if best is not None and best.objective < rec.objective:
             rec.objective = best.objective
             rec.facilities = best.facilities.copy()
-            rec.assignment, rec.trace = best.assignment, best.trace
-            rec.refine_stats = best.refine_stats
+            rec.refined = best.refined
             rec.repaired = True
             rec.repaired_from = best.dmin if best.repaired_from is None else best.repaired_from
         if best is None or rec.objective <= best.objective:

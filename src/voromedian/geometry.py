@@ -192,9 +192,9 @@ def voronoi_vertices(sites, box: BoundingBox) -> np.ndarray:
         direction = np.concatenate([seg[long], normal])
         t_lo, t_hi = np.zeros(len(origin)), np.repeat([1.0, np.inf], [long.sum(), len(h)])
 
-    raw = [box.corners(), box.clamp(centers[box.contains(centers, tol=EPS_GEO)]),
+    raw = [box.corners(), centers[box.contains(centers, tol=EPS_GEO)],
            _crossings(origin, direction, t_lo, t_hi, box)]
-    return _dedup_sort(np.concatenate(raw), sites, box)
+    return _dedup_sort(np.concatenate(raw), sites, box)  # clamps every point
 
 
 def _dedup_sort(points: np.ndarray, sites: np.ndarray, box: BoundingBox) -> np.ndarray:

@@ -143,11 +143,11 @@ class TestSolve:
         assert report["refined"] == {
             "objective": rec.objective,
             "facilities": rec.facilities.tolist(),
-            "assignment": rec.assignment.tolist(),
-            "trace": rec.trace,
-            "stats": rec.refine_stats,
+            "assignment": rec.refined.assignment.tolist(),
+            "trace": rec.refined.trace,
+            "stats": rec.refined.stats,
         }
-        assert set(rec.refine_stats) == {"rounds", "passes", "proposals", "projected"}
+        assert set(rec.refined.stats) == {"rounds", "passes", "proposals", "projected"}
 
     def test_unconstrained_report_is_the_solve_one_record(self, inst_file, tmp_path):
         out = tmp_path / "s.json"
@@ -157,9 +157,9 @@ class TestSolve:
         rec = solve_one(read_instance(inst_file), 2, 0.0, seed=3, starts=5)
         assert refined["objective"] == rec.objective
         assert refined["facilities"] == rec.facilities.tolist()
-        assert refined["assignment"] == rec.assignment.tolist()
-        assert refined["trace"] == rec.trace
-        assert refined["stats"] == rec.refine_stats
+        assert refined["assignment"] == rec.refined.assignment.tolist()
+        assert refined["trace"] == rec.refined.trace
+        assert refined["stats"] == rec.refined.stats
         assert refined["stats"]["projected"] == 0  # no clearance to query at D = 0
 
     @pytest.mark.parametrize("dmin", ["nan", "inf"])

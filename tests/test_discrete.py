@@ -251,7 +251,8 @@ class TestLocalSearchOracle:
         for trial in range(300):
             matrix, w = tied_problem(rng)
             m = matrix.shape[1]
-            start = list(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False))
+            # _local_search takes p >= 2; solve_interchange answers p = 1 itself
+            start = list(rng.choice(m, size=int(rng.integers(2, m + 1)), replace=False))
             got = discrete._local_search(matrix, w, start, np.random.default_rng(trial),
                                          discrete._row_order(matrix))
             ref = reference_local_search(matrix, w, start, np.random.default_rng(trial))
@@ -403,6 +404,31 @@ class TestGreedyOracle:
                 got = discrete._greedy(matrix, w, first, m)
                 assert got == reference_greedy(matrix, w, first, m), (trial, first)
                 assert sorted(got) == list(range(m)), (trial, first)
+
+
+def assert_cheapest_column(matrix, w, sol):
+    assert sol.selected == (int(np.argmin(w @ matrix)),)
+    assert sol.objective == pytest.approx(brute_force_pmedian(matrix, w, 1)[0], rel=1e-12)
+    assert sol.proven
+    assert sol.stats == {"starts": 0, "lower_bound": sol.objective, "bound_steps": 0,
+                         "bound_gave_up": False}
+
+
+class TestOneFacility:
+    """p = 1 is answered in closed form: the cheapest column, proven, with
+    no run and no bound."""
+
+    def test_tied_random_matrices(self):
+        rng = np.random.default_rng(15)
+        for trial in range(300):
+            matrix, w = tied_problem(rng)
+            assert_cheapest_column(matrix, w, solve_interchange(matrix, w, 1, seed=trial))
+
+    @pytest.mark.parametrize("n, dmin", [(100, 0.95), (100, 0.2), (500, 0.42), (1000, 0.3)])
+    def test_benchmark_matrices(self, request, n, dmin):
+        inst = request.getfixturevalue(f"inst{n}")
+        matrix = build_matrix(inst, feasible_candidates(inst, dmin)[0])
+        assert_cheapest_column(matrix, inst.weights, solve_interchange(matrix, inst.weights, 1))
 
 
 class TestSolveInterchange:

@@ -43,6 +43,8 @@ RUNS = [
                          "--out", "solve-heuristic.json"]),
     ("solve-heuristic-proven", ["solve", *INSTANCE, "--dmin", "0.43", "--p", "15",
                                 "--mode", "heuristic", "--out", "solve-heuristic-proven.json"]),
+    ("solve-p1", ["solve", *INSTANCE, "--dmin", "0.95", "--p", "1", "--mode", "heuristic",
+                  "--out", "solve-p1.json"]),
     ("solve-d0", ["solve", *INSTANCE, "--dmin", "0", "--p", "2", "--starts", "5",
                   "--out", "solve-d0.json"]),
     ("solve-no-candidates", ["solve", *INSTANCE, "--dmin", "5", "--p", "2",

@@ -108,9 +108,9 @@ def triangle_feasible_area(dmin: float, d_nearest: float) -> TriangleAreaReport:
     farthest pocket point lies at dmin/sqrt(3)*sin(theta) ~ d_nearest - dmin
     from the center.
     """
-    if dmin <= 0:
+    if not dmin > 0:  # NaN fails too
         raise ValueError("dmin must be > 0")
-    if d_nearest < dmin:
+    if not d_nearest >= dmin:
         raise ValueError("d_nearest must be >= dmin")
     if d_nearest > 2.0 * dmin / math.sqrt(3.0):
         return TriangleAreaReport(dmin=dmin, d_nearest=d_nearest, intersecting=False)
@@ -147,34 +147,23 @@ class Lcg64:
     MULTIPLIER = 6364136223846793005
     INCREMENT = 1442695040888963407
     MASK = (1 << 64) - 1
-    BLOCK = 4096  # states produced per jump-ahead step
-    _jump = None  # (A^k, C_k) for k = 1..BLOCK, built on first use
 
     def __init__(self, seed: int):
         self.state = (int(seed) ^ 0x9E3779B97F4A7C15) & self.MASK
 
-    @classmethod
-    def _jump_tables(cls) -> tuple[np.ndarray, np.ndarray]:
-        """k steps map s to A^k s + C_k with C_k = INC (1 + A + ... + A^(k-1))
-        (mod 2^64); uint64 arithmetic wraps."""
-        if cls._jump is None:
-            a = np.cumprod(np.full(cls.BLOCK, cls.MULTIPLIER, dtype=np.uint64))
-            c = np.uint64(cls.INCREMENT) * np.cumsum(np.concatenate([[np.uint64(1)], a[:-1]]))
-            cls._jump = (a, c)
-        return cls._jump
-
     def uniforms(self, count: int) -> np.ndarray:
-        """`count` doubles in [0, 1): the recurrence above, a block at a time."""
-        a, c = self._jump_tables()
-        out = np.empty(count)
-        s = np.uint64(self.state)
-        for lo in range(0, count, self.BLOCK):
-            states = a[: count - lo] * s + c[: count - lo]
-            out[lo : lo + len(states)] = states >> np.uint64(11)
-            s = states[-1]
-        out *= 2.0**-53
-        self.state = int(s)
-        return out
+        """`count` doubles in [0, 1): the recurrence above in one jump.
+
+        k steps map s to A^k s + C_k with C_k = INC (1 + A + ... + A^(k-1))
+        (mod 2^64); the tables for k = 1..count are built per call, in
+        wrapping uint64 arithmetic."""
+        if count == 0:
+            return np.empty(0)
+        a = np.cumprod(np.full(count, self.MULTIPLIER, dtype=np.uint64))
+        c = np.uint64(self.INCREMENT) * np.cumsum(np.concatenate([[np.uint64(1)], a[:-1]]))
+        states = a * np.uint64(self.state) + c
+        self.state = int(states[-1])
+        return (states >> np.uint64(11)) * 2.0**-53
 
 
 def sample_feasible(
@@ -192,6 +181,8 @@ def sample_feasible(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if not dmin >= 0:  # NaN fails too
+        raise ValueError("dmin must be >= 0")
     box = instance.box
     rng = Lcg64(seed)
     accepted: list[np.ndarray] = []

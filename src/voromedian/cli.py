@@ -36,7 +36,7 @@ import numpy as np
 from . import __version__
 from .candidates import EmptyObnoxiousSetError, feasible_candidates, write_candidates_csv
 from .charts import write_frontier_chart
-from .discrete import DEFAULT_NODE_BUDGET, PROOF_TOL, InfeasibleCardinalityError
+from .discrete import PROOF_TOL, InfeasibleCardinalityError
 from .frontier import (
     DEFAULT_GRID_STEPS,
     DEFAULT_STARTS,
@@ -108,8 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--starts", type=_positive_int, default=DEFAULT_STARTS,
                    help=STARTS_HELP)
     s.add_argument("--seed", type=_nonneg_int, default=0)
-    s.add_argument("--node-budget", type=_positive_int, default=DEFAULT_NODE_BUDGET,
-                   help="branch-and-bound node cap in exact mode")
     s.add_argument("--out", required=True, help="JSON report to write")
 
     f = sub.add_parser("frontier", help="clearance sweep: CSV + SVG chart")
@@ -167,7 +165,7 @@ def cmd_candidates(args) -> int:
 def cmd_solve(args) -> int:
     instance = read_instance(args.instance)
     record = solve_one(instance, args.p, args.dmin, mode=args.mode, starts=args.starts,
-                       seed=args.seed, node_budget=args.node_budget)
+                       seed=args.seed)
     dsol, rsol = record.discrete, record.refined
     report = {
         "command": "solve",

@@ -52,7 +52,7 @@ import numpy as np
 from .instances import Instance
 
 EXACT_LIMIT = 10_000_000  # auto mode solves exactly up to this many p-subsets
-DEFAULT_NODE_BUDGET = 10_000_000
+NODE_BUDGET = 10_000_000  # branch-and-bound nodes before the incumbent is returned unproven
 # A solution is proven when UB - LB <= PROOF_TOL * UB: far above the ~1e-14
 # relative rounding of the bound, far below any objective difference the
 # pipeline reports.
@@ -100,7 +100,7 @@ def evaluate(matrix: np.ndarray, weights: np.ndarray, selected) -> DiscreteSolut
     )
 
 
-def _branch_and_bound(matrix, weights, p, node_budget, incumbent, incumbent_obj):
+def _branch_and_bound(matrix, weights, p, incumbent, incumbent_obj):
     """Best-first search over p-subsets of the columns, taken in `order`
     (lowest mean distance first). A node is a set of chosen columns whose
     completions add columns from position `idx` of `order` on; expanding it
@@ -131,7 +131,7 @@ def _branch_and_bound(matrix, weights, p, node_budget, incumbent, incumbent_obj)
         if bound >= incumbent_obj - 1e-12:
             break  # the heap is bound-ordered: everything left is pruned
         nodes += 1
-        if nodes > node_budget:
+        if nodes > NODE_BUDGET:
             return incumbent, False, nodes - 1
         need, free = p - len(chosen), m - idx
         c = matrix[:, list(chosen)].min(axis=1) if chosen else np.full(nd, np.inf)
@@ -161,35 +161,23 @@ def _branch_and_bound(matrix, weights, p, node_budget, incumbent, incumbent_obj)
     return incumbent, True, nodes
 
 
-def solve_exact(
-    matrix: np.ndarray,
-    weights,
-    p: int,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> DiscreteSolution:
+def solve_exact(matrix: np.ndarray, weights, p: int) -> DiscreteSolution:
     """Optimal p-subset of columns by branch-and-bound, or the best
-    incumbent flagged non-proven when the node budget runs out.
+    incumbent flagged non-proven after NODE_BUDGET nodes.
 
     One interchange run (greedy plus vertex substitution) gives the first
-    incumbent. Ties: of several optimal sets the first one found is kept,
-    the warm start before any set the search reaches, and the search prunes
-    every node whose bound is within 1e-12 of the incumbent, so a set better
-    by no more than that may go unfound.
+    incumbent, and its argument checks raise for p < 1 and m < p. Ties: of
+    several optimal sets the first one found is kept, the warm start before
+    any set the search reaches, and the search prunes every node whose bound
+    is within 1e-12 of the incumbent, so a set better by no more than that
+    may go unfound.
     """
     weights = np.asarray(weights, dtype=float)
-    nd, m = matrix.shape
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if m < p:
-        raise InfeasibleCardinalityError(f"{m} candidates < p={p}")
-
     # more interchange runs cost more than the nodes their incumbent saves;
     # a single start builds no Lagrangian bound
     warm = solve_interchange(matrix, weights, p, starts=1, seed=0)
-    selected, proven, nodes = _branch_and_bound(
-        matrix, weights, p, node_budget, warm.selected, warm.objective
-    )
-    sol = evaluate(matrix, weights, selected)
+    sel, proven, nodes = _branch_and_bound(matrix, weights, p, warm.selected, warm.objective)
+    sol = evaluate(matrix, weights, sel)
     sol.proven = proven
     sol.stats = {"nodes": nodes}
     return sol
@@ -280,10 +268,8 @@ def _local_search(d, weights, sel: list[int], rng, row_order) -> tuple[list[int]
         sub = d.take((rows * m)[:, None] + cols)
         a, b = np.argpartition(sub, 1, axis=1)[:, :2].T
         i = np.arange(len(rows))
-        x, y = sub[i, a], sub[i, b]
-        flip = x > y
-        s1[rows], s2[rows] = np.where(flip, b, a), np.where(flip, a, b)
-        d1[rows], d2[rows] = np.where(flip, y, x), np.where(flip, x, y)
+        s1[rows], s2[rows] = a, b  # argpartition puts the smaller of the two first
+        d1[rows], d2[rows] = sub[i, a], sub[i, b]
 
     def account(rows, sign):
         ws = sign * weights[rows]
@@ -495,7 +481,6 @@ def solve(
     mode: str = "auto",
     starts: int = 100,
     seed: int = 0,
-    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> DiscreteSolution:
     """The discrete stage by mode: "exact", "heuristic" (best of at most
     `starts` interchange runs; stops once proven within PROOF_TOL relative)
@@ -504,5 +489,5 @@ def solve(
     if mode not in ("auto", "exact", "heuristic"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "exact" or (mode == "auto" and math.comb(matrix.shape[1], p) <= EXACT_LIMIT):
-        return solve_exact(matrix, weights, p, node_budget=node_budget)
+        return solve_exact(matrix, weights, p)
     return solve_interchange(matrix, weights, p, starts=starts, seed=seed)

@@ -83,11 +83,9 @@ def solve_one(
     mode: str = "auto",
     starts: int = DEFAULT_STARTS,
     seed: int = 0,
-    node_budget: int = discrete.DEFAULT_NODE_BUDGET,
 ) -> FrontierRecord:
-    """Full pipeline at one clearance value. `mode`, `starts`, `seed` and
-    `node_budget` go to `discrete.solve`; at D = 0 `starts` sets the
-    unconstrained tries.
+    """Full pipeline at one clearance value. `mode`, `starts` and `seed` go
+    to `discrete.solve`; at D = 0 `starts` sets the unconstrained tries.
 
     Raises ValueError for p < 1 or dmin < 0 (NaN too), NoFeasibleCandidatesError
     when no candidate clears dmin and discrete's InfeasibleCardinalityError when
@@ -103,7 +101,7 @@ def solve_one(
         raise NoFeasibleCandidatesError(f"no candidate clears {dmin}")
     else:
         matrix = discrete.build_matrix(instance, cand_xy)
-        dsol = discrete.solve(matrix, instance.weights, p, mode, starts, seed, node_budget)
+        dsol = discrete.solve(matrix, instance.weights, p, mode, starts, seed)
         dsol.sites = cand_xy[list(dsol.selected)]
         rsol = refine_mod.refine(instance, dmin, dsol.sites)
     return FrontierRecord(

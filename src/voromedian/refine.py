@@ -413,8 +413,6 @@ def multistart_random(
         raise ValueError("tries must be >= 1")
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    if not dmin >= 0:  # NaN fails too
-        raise ValueError("dmin must be >= 0")
     pool, _ = sample_feasible(instance, dmin, count=POOL_ATTEMPTS, seed=seed,
                               max_attempts=POOL_ATTEMPTS)
     if len(pool) < 1:

@@ -110,6 +110,10 @@ class TestTriangleFeasibleArea:
             triangle_feasible_area(0.0, 1.0)
         with pytest.raises(ValueError):
             triangle_feasible_area(1.0, 0.9)
+        with pytest.raises(ValueError, match=r"^dmin must be > 0$"):
+            triangle_feasible_area(math.nan, 1.0)
+        with pytest.raises(ValueError, match=r"^d_nearest must be >= dmin$"):
+            triangle_feasible_area(1.0, math.nan)
 
     def test_theta_range(self):
         for ratio in np.linspace(1.0, 2 / math.sqrt(3), 25):
@@ -185,6 +189,11 @@ class TestSampleFeasible:
         b, _ = sample_feasible(inst100, 0.5, count=50, seed=11)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("dmin", [math.nan, -1.0])
+    def test_invalid_dmin_raises(self, inst100, dmin):
+        with pytest.raises(ValueError, match=r"^dmin must be >= 0$"):
+            sample_feasible(inst100, dmin, count=5, seed=1)
+
     def test_lcg_uniforms_in_range(self):
         u = Lcg64(123).uniforms(10000)
         assert ((u >= 0) & (u < 1)).all()
@@ -201,11 +210,10 @@ def scalar_lcg(state: int, count: int) -> tuple[np.ndarray, int]:
 
 
 class TestLcg64JumpAhead:
-    """The block-at-a-time stream against the scalar recurrence."""
+    """The one-jump stream against the scalar recurrence."""
 
     @pytest.mark.parametrize("seed", [0, 1, 17, 2**63, 2**64 - 1])
-    @pytest.mark.parametrize("count", [1, Lcg64.BLOCK - 1, Lcg64.BLOCK, Lcg64.BLOCK + 1,
-                                       200_000])
+    @pytest.mark.parametrize("count", [1, 4095, 4096, 4097, 200_000])
     def test_matches_scalar_recurrence(self, seed, count):
         rng = Lcg64(seed)
         expected, state = scalar_lcg(rng.state, count)
@@ -215,8 +223,8 @@ class TestLcg64JumpAhead:
     @pytest.mark.parametrize("seed", [0, 17, 2**63 + 12345])
     def test_calls_split_across_the_stream(self, seed):
         rng = Lcg64(seed)
-        expected, state = scalar_lcg(rng.state, 3 * Lcg64.BLOCK + 7)
-        sizes = [0, 1, Lcg64.BLOCK - 2, 5, Lcg64.BLOCK, Lcg64.BLOCK + 1, 0, 2]
+        expected, state = scalar_lcg(rng.state, 3 * 4096 + 7)
+        sizes = [0, 1, 4094, 5, 4096, 4097, 0, 2]
         assert sum(sizes) == len(expected)
         got = np.concatenate([rng.uniforms(k) for k in sizes])
         assert np.array_equal(got, expected)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import voromedian.discrete as discrete
 from voromedian.cli import main
 from voromedian.frontier import solve_one
 from voromedian.instances import read_instance
@@ -101,11 +102,11 @@ class TestSolve:
         assert report["discrete"] is None
         assert report["refined"]["objective"] > 0
 
-    def test_exact_without_proof_exit_code(self, inst_file, tmp_path):
+    def test_exact_without_proof_exit_code(self, inst_file, tmp_path, monkeypatch):
         # a 10-node budget cannot close the search for 10 of 50 candidates
+        monkeypatch.setattr(discrete, "NODE_BUDGET", 10)
         code = main(["solve", "--instance", str(inst_file), "--dmin", "0.95",
-                     "--p", "10", "--mode", "exact", "--node-budget", "10",
-                     "--out", str(tmp_path / "s.json")])
+                     "--p", "10", "--mode", "exact", "--out", str(tmp_path / "s.json")])
         assert code == 5
         report = json.loads((tmp_path / "s.json").read_text())
         assert report["discrete"]["proven"] is False

@@ -81,10 +81,11 @@ class TestSolveExact:
         assert sol.objective == pytest.approx(ref_obj, rel=1e-12)
         assert sol.selected == ref_sel
 
-    def test_budget_exhaustion_returns_incumbent(self):
+    def test_budget_exhaustion_returns_incumbent(self, monkeypatch):
         rng = np.random.default_rng(5)
         matrix, w = random_problem(rng, 20, 14)
-        sol = solve_exact(matrix, w, 4, node_budget=3)
+        monkeypatch.setattr(discrete, "NODE_BUDGET", 3)
+        sol = solve_exact(matrix, w, 4)
         assert not sol.proven
         assert len(sol.selected) == 4
         # incumbent is still a valid (heuristic-quality) solution

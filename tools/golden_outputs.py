@@ -14,7 +14,7 @@ writes. Two checkouts compare with one command:
     python tools/golden_outputs.py . <dir>/change
     diff -r <dir>/parent <dir>/change
 
-The demos take a few minutes in all.
+The CLI runs and the demos take ~20 s in all on 2 CPUs.
 """
 
 from __future__ import annotations

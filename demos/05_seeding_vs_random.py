@@ -5,7 +5,7 @@ configurations differ. Random starts almost never land in the small
 feasible pockets, so with more facilities the random side falls behind
 even with many more tries.
 
-Run: python demos/05_seeding_vs_random.py  (a few minutes)
+Run: python demos/05_seeding_vs_random.py  (about 7 s on 2 CPUs)
 """
 
 from voromedian import feasible_candidates, generate, multistart_random, solve_one

@@ -31,11 +31,10 @@ from .frontier import (
 )
 from .geometry import (
     BoundingBox,
-    Triangulation,
     delaunay,
     voronoi_vertices,
 )
-from .instances import Instance, SeedStream, generate, read_instance, write_instance
+from .instances import Instance, generate, read_instance, write_instance
 from .refine import (
     ContinuousSolution,
     InfeasibleStartError,
@@ -57,9 +56,7 @@ __all__ = [
     "NoFeasibleCandidatesError",
     "NoFeasibleSampleError",
     "RefineMonotonicityError",
-    "SeedStream",
     "TriangleAreaReport",
-    "Triangulation",
     "assign",
     "build_matrix",
     "default_grid",

@@ -110,6 +110,8 @@ def triangle_feasible_area(dmin: float, d_nearest: float) -> TriangleAreaReport:
     """
     if not dmin > 0:  # NaN fails too
         raise ValueError("dmin must be > 0")
+    if dmin == math.inf:
+        raise ValueError("dmin must be finite")
     if not d_nearest >= dmin:
         raise ValueError("d_nearest must be >= dmin")
     if d_nearest > 2.0 * dmin / math.sqrt(3.0):

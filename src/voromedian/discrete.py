@@ -184,9 +184,9 @@ def solve_exact(matrix: np.ndarray, weights, p: int) -> DiscreteSolution:
 
 
 def _greedy(d, weights, first: int | None, p: int) -> list[int]:
-    """Greedy construction: best single column (or a given first column),
-    then repeatedly the column with the largest cost reduction
-    weights @ gap (ties: the lowest column), where
+    """Greedy construction of p >= 2 columns: best single column (or a
+    given first column), then repeatedly the column with the largest cost
+    reduction weights @ gap (ties: the lowest column), where
     gap[i, j] = max(cur_i - d_ij, 0) and cur_i is row i's distance to its
     nearest chosen column.
 
@@ -200,8 +200,6 @@ def _greedy(d, weights, first: int | None, p: int) -> list[int]:
     if first is None:
         first = int(np.argmin(weights @ d))
     chosen = [first]
-    if p == 1:
-        return chosen
     in_sel = np.zeros(m, dtype=bool)
     in_sel[first] = True
     cur = d[:, first].copy()

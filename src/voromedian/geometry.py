@@ -1,15 +1,16 @@
 """Planar primitives: Delaunay triangulation, its circumcenters, and the
 vertex set of the Voronoi diagram clipped to a bounding box.
 
-Triangulation is delegated to Qhull (scipy.spatial.Delaunay) and kept as
-its `simplices` and `neighbors` arrays; everything downstream only relies on
-the empty-circumcircle property, which the test suite verifies by brute
-force. The clipped Voronoi vertex set is built in one pass over arrays: the
-four box corners, the circumcenters inside or on the box, and the points
-where Voronoi edges cross the box boundary. The edges form one list of rows
-(origin, direction, parameter range): segments between the circumcenters of
-adjacent triangles, outward rays from hull triangles, or the bisector of two
-sites. One Liang-Barsky clip of the whole list gives the crossings.
+The triangulation is delegated to Qhull (scipy.spatial.Delaunay) and
+returned as its `simplices` and `neighbors` arrays; everything downstream
+only relies on the empty-circumcircle property, which the test suite
+verifies by brute force. The clipped Voronoi vertex set is built in one
+pass over arrays: the four box corners, the circumcenters inside or on the
+box, and the points where Voronoi edges cross the box boundary. The edges
+form one list of rows (origin, direction, parameter range): segments between
+the circumcenters of adjacent triangles, outward rays from hull triangles,
+or the bisector of two sites. One Liang-Barsky clip of the whole list gives
+the crossings.
 
 Vertices are deduplicated and returned sorted by descending distance to the
 nearest site, ties broken by (x, y); identical inputs give identical output.
@@ -77,13 +78,6 @@ class DuplicateSitesError(ValueError):
     """Two sites coincide within tolerance; caller must deduplicate."""
 
 
-@dataclass
-class Triangulation:
-    sites: np.ndarray  # (n, 2)
-    simplices: np.ndarray  # (T, 3) site indices per triangle
-    neighbors: np.ndarray  # (T, 3); entry k = triangle opposite vertex k, -1 on hull
-
-
 def _circumcenters(sites: np.ndarray, simplices: np.ndarray) -> np.ndarray:
     """Circumcenters of all triangles at once: row t is equidistant from the
     three sites of simplices[t]."""
@@ -106,8 +100,10 @@ def _check_distinct(sites: np.ndarray) -> None:
         raise DuplicateSitesError(f"sites {i} and {j} coincide within {EPS_GEO}")
 
 
-def delaunay(sites) -> Triangulation:
-    """Delaunay triangulation of a planar point set.
+def delaunay(sites) -> tuple[np.ndarray, np.ndarray]:
+    """Delaunay triangulation of a planar point set, as Qhull's
+    (simplices, neighbors): (T, 3) site indices per triangle, and per
+    triangle the one opposite each vertex (-1 on the hull).
 
     The contract is the empty-circumcircle property, not any particular
     construction; cocircular groups may be triangulated with either diagonal.
@@ -126,12 +122,7 @@ def delaunay(sites) -> Triangulation:
         raise
     if len(tri.coplanar):
         raise DuplicateSitesError(f"qhull dropped points {tri.coplanar[:, 0].tolist()}")
-
-    return Triangulation(
-        sites=sites,
-        simplices=tri.simplices.astype(int),
-        neighbors=tri.neighbors.astype(int),
-    )
+    return tri.simplices.astype(int), tri.neighbors.astype(int)
 
 
 def _crossings(origin, direction, t_lo, t_hi, box: BoundingBox) -> np.ndarray:
@@ -176,8 +167,7 @@ def voronoi_vertices(sites, box: BoundingBox) -> np.ndarray:
         origin, direction = sites.mean(axis=0)[None], np.array([[-d[1], d[0]]])
         t_lo, t_hi = np.array([-np.inf]), np.array([np.inf])
     elif len(sites) > 2:
-        tri = delaunay(sites)
-        simplices, nb = tri.simplices, tri.neighbors
+        simplices, nb = delaunay(sites)
         centers = _circumcenters(sites, simplices)
         t, k = np.nonzero(nb > np.arange(len(simplices))[:, None])  # each bounded edge once
         seg = centers[nb[t, k]] - centers[t]

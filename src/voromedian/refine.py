@@ -229,9 +229,7 @@ def _weber_clusters(
     facilities: np.ndarray,
     instance: Instance,
     dmin: float,
-    tol: float,
-    max_iter: int,
-    counts: np.ndarray | None = None,
+    counts: np.ndarray,
 ) -> np.ndarray:
     """Constrained Weiszfeld descent for all clusters at once.
 
@@ -245,9 +243,10 @@ def _weber_clusters(
     A facility whose full step is rejected proposes, in the same pass,
     every halving it has left (see the module docstring) and takes the first
     feasible one that improves; one that takes none is out of halvings or
-    of its `max_iter` proposals, and stops. `counts`, a (3, p) int array,
-    gains per facility the passes it proposed in, its proposals and the
-    clearance queries made for them.
+    of its `MAX_WEBER_ITER` proposals, and stops, as does one whose
+    accepted step gains less than `TOL_REFINE` relative. `counts`, a (3, p)
+    int array, gains per facility the passes it proposed in, its proposals
+    and the clearance queries made for them.
     """
     p = len(facilities)
     fac = np.array(facilities, dtype=float)
@@ -257,7 +256,7 @@ def _weber_clusters(
     gathered = np.count_nonzero(active)
     passes, proposals, queried = np.zeros((3, p), dtype=int)
 
-    for _ in range(max_iter):
+    for _ in range(MAX_WEBER_ITER):
         n_active = np.count_nonzero(active)
         if n_active == 0:
             break
@@ -282,7 +281,7 @@ def _weber_clusters(
 
         # rungs 1..more of each rejected step: fac + 2^-k (target - fac)
         ladder = live[~accept[live]]
-        more = np.minimum(MAX_HALVINGS - 1, max_iter - proposals[ladder])
+        more = np.minimum(MAX_HALVINGS - 1, MAX_WEBER_ITER - proposals[ladder])
         left = more > 0
         ladder, more = ladder[left], more[left]
         if len(ladder):
@@ -302,12 +301,11 @@ def _weber_clusters(
         rel_gain = (obj[won] - new_obj[won]) / np.maximum(obj[won], 1e-300)
         obj[won] = new_obj[won]
         # a facility that took no step, or has no proposal left, stops
-        active &= accept & (proposals < max_iter)
+        active &= accept & (proposals < MAX_WEBER_ITER)
         # converged: last accepted step gained too little to keep iterating
-        active[won[rel_gain < tol]] = False
+        active[won[rel_gain < TOL_REFINE]] = False
 
-    if counts is not None:
-        counts += (passes, proposals, queried)
+    counts += (passes, proposals, queried)
     return fac
 
 
@@ -323,13 +321,19 @@ def refine_many(instance: Instance, dmin: float, starts) -> list[ContinuousSolut
     configurations, run in lockstep; one solution per start, in order.
 
     Raises ValueError for a negative or NaN `dmin`, and InfeasibleStartError,
-    naming the first infeasible or non-finite start, before any descent runs.
+    naming the first start that is not (p, 2) like start 0, or is infeasible
+    or not finite, before any descent runs.
     """
     if not dmin >= 0:  # NaN fails too
         raise ValueError("dmin must be >= 0")
-    facs = np.array([np.atleast_2d(np.asarray(s, dtype=float)) for s in starts])
+    facs = [np.atleast_2d(np.asarray(s, dtype=float)) for s in starts]
     if len(facs) == 0:
         return []
+    shape = (len(facs[0]), 2)
+    k = next((k for k, f in enumerate(facs) if f.shape != shape), None)
+    if k is not None:
+        raise InfeasibleStartError(f"start {k} has shape {facs[k].shape}, not {shape}")
+    facs = np.array(facs)
     k_all, p, _ = facs.shape
     nonfinite = ~np.isfinite(facs).all(axis=2)
     if nonfinite.any():
@@ -361,8 +365,7 @@ def refine_many(instance: Instance, dmin: float, starts) -> list[ContinuousSolut
         counts = np.zeros((3, len(running) * p), dtype=int)
         moved = _weber_clusters(
             x, w, _stacked_clusters([assignment[k] for k in running], p),
-            facs[running].reshape(-1, 2), instance, dmin, TOL_REFINE, MAX_WEBER_ITER,
-            counts,
+            facs[running].reshape(-1, 2), instance, dmin, counts,
         ).reshape(len(running), p, 2)
         # a start alone loops until its last facility stops
         counts = counts.reshape(3, len(running), p)

@@ -289,9 +289,9 @@ class TestCriterion10PropertySuites:
         from voromedian.geometry import delaunay
 
         inst = generate(200)
-        tri = delaunay(inst.demand_xy)
-        assert brute_force_circumcircle_violations(tri.sites, tri.simplices) == 0
-        assert len(tri.simplices) == 2 * 200 - 2 - int((tri.neighbors == -1).sum())
+        simplices, neighbors = delaunay(inst.demand_xy)
+        assert brute_force_circumcircle_violations(inst.demand_xy, simplices) == 0
+        assert len(simplices) == 2 * 200 - 2 - int((neighbors == -1).sum())
         _report(10, f"empty-circumcircle holds on 200 sites [{time.time()-t0:.1f}s]")
 
     def test_exact_solver_matches_enumeration_50_trials(self):

@@ -114,6 +114,8 @@ class TestTriangleFeasibleArea:
             triangle_feasible_area(math.nan, 1.0)
         with pytest.raises(ValueError, match=r"^d_nearest must be >= dmin$"):
             triangle_feasible_area(1.0, math.nan)
+        with pytest.raises(ValueError, match=r"^dmin must be finite$"):
+            triangle_feasible_area(math.inf, math.inf)
 
     def test_theta_range(self):
         for ratio in np.linspace(1.0, 2 / math.sqrt(3), 25):

@@ -373,7 +373,7 @@ class TestGreedyOracle:
         for trial in range(60):
             matrix, w = tied_problem(rng)
             m = matrix.shape[1]
-            for p in range(1, m + 1):
+            for p in range(2, m + 1):  # p = 1 never reaches _greedy
                 for first in [None, *range(m)]:
                     got = discrete._greedy(matrix, w, first, p)
                     assert got == reference_greedy(matrix, w, first, p), (trial, p, first)
@@ -388,13 +388,6 @@ class TestGreedyOracle:
         for first in [None, *firsts]:
             got = discrete._greedy(matrix, inst.weights, first, p)
             assert got == reference_greedy(matrix, inst.weights, first, p), first
-
-    def test_one_facility_is_the_first_column(self):
-        matrix, w = tied_problem(np.random.default_rng(25))
-        assert discrete._greedy(matrix, w, None, 1) == [int(np.argmin(w @ matrix))]
-        for first in range(matrix.shape[1]):
-            # no weights: any reduction step would fail on them
-            assert discrete._greedy(matrix, None, first, 1) == [first]
 
     def test_every_column_in_dense_order(self):
         rng = np.random.default_rng(26)

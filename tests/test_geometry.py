@@ -47,15 +47,16 @@ class TestCircumcenter:
 
 class TestDelaunay:
     def test_single_triangle(self):
-        tri = delaunay([(0, 0), (1, 0), (0, 1)])
-        assert len(tri.simplices) == 1
-        assert sorted(tri.simplices[0].tolist()) == [0, 1, 2]
+        simplices, _ = delaunay([(0, 0), (1, 0), (0, 1)])
+        assert len(simplices) == 1
+        assert sorted(simplices[0].tolist()) == [0, 1, 2]
 
     def test_cocircular_square_two_triangles(self):
-        tri = delaunay([(0, 0), (1, 0), (1, 1), (0, 1)])
-        assert len(tri.simplices) == 2
+        sites = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], float)
+        simplices, _ = delaunay(sites)
+        assert len(simplices) == 2
         # non-strict empty-circumcircle: no site strictly inside
-        assert brute_force_circumcircle_violations(tri.sites, tri.simplices) == 0
+        assert brute_force_circumcircle_violations(sites, simplices) == 0
 
     def test_too_few_sites(self):
         with pytest.raises(TooFewSitesError):
@@ -70,17 +71,17 @@ class TestDelaunay:
             delaunay([(0, 0), (1, 0), (0, 1), (1, 0)])
 
     def test_benchmark_instance_euler_and_circumcircles(self, inst100):
-        tri = delaunay(inst100.demand_xy)
-        s, h = len(tri.sites), int((tri.neighbors == -1).sum())  # hull edges
-        assert len(tri.simplices) == 2 * s - 2 - h
-        assert brute_force_circumcircle_violations(tri.sites, tri.simplices) == 0
+        simplices, neighbors = delaunay(inst100.demand_xy)
+        s, h = len(inst100.demand_xy), int((neighbors == -1).sum())  # hull edges
+        assert len(simplices) == 2 * s - 2 - h
+        assert brute_force_circumcircle_violations(inst100.demand_xy, simplices) == 0
 
     def test_random_sites_euler_and_circumcircles(self):
         rng = np.random.default_rng(42)
         sites = rng.uniform(0, 10, size=(60, 2))
-        tri = delaunay(sites)
-        assert len(tri.simplices) == 2 * 60 - 2 - int((tri.neighbors == -1).sum())
-        assert brute_force_circumcircle_violations(tri.sites, tri.simplices) == 0
+        simplices, neighbors = delaunay(sites)
+        assert len(simplices) == 2 * 60 - 2 - int((neighbors == -1).sum())
+        assert brute_force_circumcircle_violations(sites, simplices) == 0
 
 
 class TestVoronoiVertices:
@@ -217,13 +218,12 @@ def reference_voronoi_vertices(sites, box):
         perp = np.array([-d[1], d[0]])
         raw += reference_boundary_crossings(mid, perp, -np.inf, np.inf, box)
         return _dedup_sort(np.array(raw), sites, box)
-    tri = delaunay(sites)
-    simplices = tri.simplices
+    simplices, neighbors = delaunay(sites)
     centers = _circumcenters(sites, simplices)
     raw += list(box.clamp(centers[box.contains(centers, tol=EPS_GEO)]))
     for t in range(len(simplices)):
         for k in range(3):
-            nb = tri.neighbors[t, k]
+            nb = neighbors[t, k]
             u, v = simplices[t, (k + 1) % 3], simplices[t, (k + 2) % 3]
             if nb == -1:
                 edge = sites[v] - sites[u]

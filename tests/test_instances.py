@@ -10,7 +10,6 @@ import voromedian
 from voromedian.instances import (
     Instance,
     InstanceParseError,
-    SeedStream,
     coordinate_pool,
     generate,
     read_instance,
@@ -19,27 +18,24 @@ from voromedian.instances import (
 from voromedian.geometry import BoundingBox
 
 
-class TestSeedStream:
-    def test_known_transitions(self):
-        assert SeedStream(97).next() == 85243
-        assert SeedStream(367).next() == 84373
-        assert SeedStream(85243).next() == 84217
+class TestCoordinatePool:
+    """Column 0 is the x stream from seed 97, column 1 the y stream from
+    seed 367, each r_{k+1} = 12219 * r_k mod 100000, divided by 10000."""
 
-    def test_take_starts_with_seed(self):
-        assert SeedStream(97).take(3) == [97, 85243, 84217]
+    def test_starts_with_known_values(self):
+        r = np.rint(coordinate_pool() * 10000).astype(int)
+        assert r[:3, 0].tolist() == [97, 85243, 84217]
+        assert r[:2, 1].tolist() == [367, 84373]
 
-    @pytest.mark.parametrize("bad", [0, 100000, -5, 200000])
-    def test_seed_range_enforced(self, bad):
-        with pytest.raises(ValueError):
-            SeedStream(bad)
+    def test_rows_follow_recurrence(self):
+        r = np.rint(coordinate_pool() * 10000).astype(int)
+        assert np.array_equal(r[1:], 12219 * r[:-1] % 100000)
+        assert np.array_equal(coordinate_pool(), r / 10000.0)
 
-    def test_streams_never_collapse_within_pool(self):
-        # enumerate the full pool for both seeds; the state must stay in
-        # the open range (0, 100000) throughout
-        for seed in (97, 367):
-            s = SeedStream(seed)
-            values = s.take(1000)
-            assert all(0 < v < 100000 for v in values)
+    def test_values_stay_in_open_range(self):
+        # a stream that hit 0 would stay there
+        pool = coordinate_pool()
+        assert ((pool > 0) & (pool < 10)).all()
 
 
 class TestGenerate:
@@ -142,10 +138,20 @@ class TestInstanceIO:
         assert err.value.line_no == 1
 
     def test_point_outside_box(self, tmp_path):
-        path = tmp_path / "outside.txt"
-        path.write_text("box 0 0 10 10\n1 0\n11 1 1\n")
-        with pytest.raises(InstanceParseError):
-            read_instance(path)
+        # the error names the line of the first row outside the box
+        inside = "".join(f"{k % 9 + 0.5} 1 1\n" for k in range(8))
+        cases = [
+            ("box 0 0 10 10\n1 0\n11 1 1\n", 3),
+            ("box 0 0 10 10\n9 1\n" + inside + "1 -1 1\n1 1\n", 11),  # demand row
+            ("box 0 0 10 10\n8 2\n" + inside + "1 1\n11 1\n", 12),  # protected row
+            ("box 0 0 10 10\n8 3\n" + inside + "1 1\n2 2\nnan 1\n", 13),
+        ]
+        for k, (text, line_no) in enumerate(cases):
+            path = tmp_path / f"outside{k}.txt"
+            path.write_text(text)
+            with pytest.raises(InstanceParseError, match="point outside bounding box") as err:
+                read_instance(path)
+            assert err.value.line_no == line_no, k
 
     def test_non_numeric_field(self, tmp_path):
         path = tmp_path / "nan.txt"

@@ -36,11 +36,12 @@ def blocked_pair_instance():
     )
 
 
-def one_cluster_weber(xy, w, start, instance, dmin, tol=TOL_REFINE, max_iter=MAX_WEBER_ITER):
+def one_cluster_weber(xy, w, start, instance, dmin):
     """The constrained Weiszfeld descent of a single cluster from `start`."""
     xy, w = np.atleast_2d(np.asarray(xy, float)), np.asarray(w, float)
     c = np.zeros(len(xy), dtype=int)
-    return _weber_clusters(xy, w, c, [start], instance, dmin, tol, max_iter)[0]
+    counts = np.zeros((3, 1), dtype=int)
+    return _weber_clusters(xy, w, c, [start], instance, dmin, counts)[0]
 
 
 def cluster_cost(xy, w, y):
@@ -125,10 +126,12 @@ class TestConstrainedWeber:
             assert cluster_cost(xy, w, y) <= cluster_cost(xy, w, start) + 1e-12
             assert cluster_cost(xy, w, y) == pytest.approx(oracle, abs=1e-6)
 
-    def test_unconstrained_reaches_stationary_point(self):
+    def test_unconstrained_reaches_stationary_point(self, monkeypatch):
         """First-order check via central finite differences, away from
         demand coincidence (the objective is non-smooth at demand points
         and ill-conditioned right next to them)."""
+        monkeypatch.setattr(refine_mod, "TOL_REFINE", 1e-15)
+        monkeypatch.setattr(refine_mod, "MAX_WEBER_ITER", 20000)
         rng = np.random.default_rng(14)
         inst_box = BoundingBox(0, 0, 10, 10)
         checked = 0
@@ -136,8 +139,7 @@ class TestConstrainedWeber:
             xy = rng.uniform(1, 9, size=(10, 2))
             w = rng.uniform(0.5, 2.0, size=10)
             inst = Instance(demand_xy=xy, weights=w, obnoxious_xy=[], box=inst_box)
-            y = one_cluster_weber(xy, w, start=xy.mean(axis=0), instance=inst,
-                                  dmin=0.0, tol=1e-15, max_iter=20000)
+            y = one_cluster_weber(xy, w, start=xy.mean(axis=0), instance=inst, dmin=0.0)
             if np.hypot(*(xy - y).T).min() < 0.05:
                 continue
             h = 1e-7
@@ -486,6 +488,12 @@ class TestRefineManyErrors:
         bad = np.array([good[0], inst100.obnoxious_xy[0]])
         with pytest.raises(InfeasibleStartError, match="start 1: facility 1"):
             refine_many(inst100, 1.0, [good, bad, good])
+        # a start that is not (p, 2) like start 0
+        with pytest.raises(InfeasibleStartError, match=r"^start 2 has shape \(1, 2\), not \(2, 2\)$"):
+            refine_many(inst100, 1.0, [good, good, good[:1], bad[:1]])
+        wide = np.column_stack([good, [0.0, 0.0]])
+        with pytest.raises(InfeasibleStartError, match=r"^start 1 has shape \(2, 3\), not \(2, 2\)$"):
+            refine_many(inst100, 1.0, [good, wide])
         assert calls == []
 
     @pytest.mark.parametrize("dmin", [0.0, 1.0])
@@ -521,7 +529,9 @@ def descend_both(instance, dmin, start, max_iter):
     x, w = instance.demand_xy, instance.weights
     c, _ = assign(start, instance)
     counts = np.zeros((3, len(start)), dtype=int)
-    got = _weber_clusters(x, w, c, start, instance, dmin, TOL_REFINE, max_iter, counts)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(refine_mod, "MAX_WEBER_ITER", max_iter)
+        got = _weber_clusters(x, w, c, start, instance, dmin, counts)
     proposals = np.zeros(len(start), dtype=int)
     want = reference_weber_clusters(x, w, c, start, instance, dmin,
                                     cKDTree(instance.obnoxious_xy), TOL_REFINE, max_iter, [],

@@ -245,6 +245,9 @@ def cmd_baseline(args) -> int:
         "gap_fraction": gap,
         "candidate_seeded_facilities": seeded.facilities.tolist(),
         "random_multistart_facilities": random_best.facilities.tolist(),
+        "candidate_seeded_stats": {"discrete": None if seeded.discrete is None
+                                   else seeded.discrete.stats, "refined": seeded.refined.stats},
+        "random_multistart_stats": random_best.stats,
     }
     print(f"candidate-seeded objective: {seeded.objective:.2f}")
     print(f"random multistart objective ({args.tries} tries): {random_best.objective:.2f}")

@@ -5,9 +5,11 @@ to its nearest facility, then relocate each facility within its cluster by
 damped Weiszfeld steps with minimum-distance constraint handling. A proposed
 relocation that lands closer than `dmin` to a protected point (a query of
 `instance.protected_tree`) is projected onto the exclusion circle of the
-most-violated point, repeatedly up to a small cap; only feasible,
-objective-improving iterates are accepted, and a rejected proposal is halved
-back toward the previous iterate. Facilities stay inside the instance box.
+most-violated point, repeatedly up to a small cap; a point pushed off one
+circle into a second that crosses it goes to their nearer crossing. Only
+feasible, objective-improving iterates are accepted, and a rejected proposal
+is halved back toward the previous iterate. Facilities stay inside the
+instance box.
 
 All accepted configurations are feasible, so every returned solution is
 too. The total objective is non-increasing, both per Weiszfeld step (per
@@ -96,8 +98,10 @@ def _feasibility_fix(points: np.ndarray, instance: Instance,
     """Clamp into the box and project onto exclusion circles until feasible.
 
     Each pass projects every violating point onto the circle of its nearest
-    (= most violated) protected point. Only the points a pass moved are
-    queried again: the others already clear `dmin`. Returns
+    (= most violated) protected point B, radially; but a point that the
+    previous pass projected onto another circle A, with 0 < |AB| < 2 dmin,
+    goes to the crossing of the two circles nearer to it. Only the points a
+    pass moved are queried again: the others already clear `dmin`. Returns
     (points, feasible_mask, queries): the clearance queries each point
     took, all zero when `dmin` <= 0 leaves nothing to query.
     """
@@ -111,24 +115,37 @@ def _feasibility_fix(points: np.ndarray, instance: Instance,
         return pts, feasible, queries
     tree = instance.protected_tree
     moved = np.arange(len(pts))
+    last = np.full(len(pts), -1)  # the circle each point was last projected onto
     for _ in range(MAX_PROJECTIONS):
         queries[moved] += 1
         dist, nearest = tree.query(pts[moved])
         bad = dist < dmin - FEAS_TOL
         if not bad.any():
             return pts, feasible, queries
-        moved = moved[bad]
-        centers = tree.data[nearest[bad]]
+        moved, nearest = moved[bad], nearest[bad]
+        centers = tree.data[nearest]
         offset = pts[moved] - centers
         norm = np.hypot(offset[:, 0], offset[:, 1])
         # a point exactly on a protected point has no direction; pick +x
         degenerate = norm < 1e-300
         offset[degenerate] = (1.0, 0.0)
         norm[degenerate] = 1.0
-        # centers + dmin * offset / norm, clamped; in place, for a ladder's many points
+        # centers + dmin * offset / norm; in place, for a ladder's many points
         np.multiply(dmin, offset, out=offset)
         offset /= norm[:, None]
         offset += centers
+        # pushed off circle A into a circle B that crosses it: the crossing nearer the point
+        k = np.flatnonzero(last[moved] >= 0)
+        ab = centers[k] - tree.data[last[moved[k]]]
+        gap = ab[:, 0] * ab[:, 0] + ab[:, 1] * ab[:, 1]
+        cross = (gap > 0) & (gap < 4 * dmin * dmin)
+        k, ab, gap = k[cross], ab[cross], gap[cross]
+        mid = centers[k] - ab / 2
+        q = pts[moved[k]] - mid
+        s = np.sqrt(dmin * dmin - gap / 4) / np.sqrt(gap)
+        s[ab[:, 0] * q[:, 1] < ab[:, 1] * q[:, 0]] *= -1  # right of AB: the crossing there
+        offset[k] = mid + s[:, None] * np.column_stack([-ab[:, 1], ab[:, 0]])
+        last[moved] = nearest
         np.maximum(offset, lo, out=offset)
         pts[moved] = np.minimum(offset, hi, out=offset)
     queries[moved] += 1
@@ -326,7 +343,12 @@ def refine_many(instance: Instance, dmin: float, starts) -> list[ContinuousSolut
     """
     if not dmin >= 0:  # NaN fails too
         raise ValueError("dmin must be >= 0")
-    facs = [np.atleast_2d(np.asarray(s, dtype=float)) for s in starts]
+    facs = []
+    for k, s in enumerate(starts):
+        try:
+            facs.append(np.atleast_2d(np.asarray(s, dtype=float)))
+        except ValueError as exc:  # ragged, or not numbers
+            raise InfeasibleStartError(f"start {k} is not an array of points: {exc}") from None
     if len(facs) == 0:
         return []
     shape = (len(facs[0]), 2)

@@ -266,6 +266,20 @@ class TestBaseline:
         assert report["gap_fraction"] == pytest.approx(gap)
         assert "gap:" in capsys.readouterr().out
 
+    def test_report_carries_the_work_of_both_sides(self, inst_file, tmp_path):
+        base, sol = tmp_path / "b.json", tmp_path / "s.json"
+        assert main(["baseline", "--instance", str(inst_file), "--dmin", "0.95", "--p", "3",
+                     "--tries", "4", "--seed", "2", "--out", str(base)]) == 0
+        assert main(["solve", "--instance", str(inst_file), "--dmin", "0.95", "--p", "3",
+                     "--seed", "2", "--out", str(sol)]) == 0
+        report, solved = json.loads(base.read_text()), json.loads(sol.read_text())
+        assert report["candidate_seeded_stats"] == {
+            "discrete": solved["discrete"]["stats"], "refined": solved["refined"]["stats"]}
+        random_stats = report["random_multistart_stats"]
+        assert set(random_stats) == {"rounds", "passes", "proposals", "projected"}
+        assert random_stats["projected"] > 0
+        assert report["candidate_seeded_stats"]["refined"]["projected"] > 0
+
     def test_zero_tries_usage_error(self, inst_file, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["baseline", "--instance", str(inst_file), "--dmin", "0.95",

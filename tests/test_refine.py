@@ -283,23 +283,50 @@ class TestMultistartRandom:
 
 # --- Reference: the one-start-at-a-time descent the batched one replaced ---
 
-def reference_feasibility_fix(points, instance, dmin, tree, degenerate_hits):
+def reference_corner(x, y, a, b, dmin):
+    """The crossing of the dmin-circles about `a` and `b` nearer to (x, y),
+    or None when the circles coincide or do not cross."""
+    abx, aby = b[0] - a[0], b[1] - a[1]
+    gap = abx * abx + aby * aby
+    if not (gap > 0 and gap < 4 * dmin * dmin):
+        return None
+    mx, my = b[0] - abx / 2, b[1] - aby / 2
+    nx, ny = -aby, abx  # normal of ab
+    s = math.sqrt(dmin * dmin - gap / 4) / math.sqrt(gap)
+    if (x - mx) * nx + (y - my) * ny < 0:
+        s = -s
+    return mx + s * nx, my + s * ny
+
+
+def reference_feasibility_fix(points, instance, dmin, tree, degenerate_hits, corners=True):
+    """`corners=False` projects every violating point radially, as the
+    projection did before its corner step."""
     pts = instance.box.clamp(points)
     if tree is None or dmin <= 0:
         return pts, np.ones(len(pts), dtype=bool)
+    last = [None] * len(pts)  # centre of the circle each point was last projected onto
     for _ in range(refine_mod.MAX_PROJECTIONS):
         dist, nearest = tree.query(pts)
         bad = dist < dmin - refine_mod.FEAS_TOL
         if not bad.any():
             return pts, np.ones(len(pts), dtype=bool)
-        centers = tree.data[nearest[bad]]
-        offset = pts[bad] - centers
-        norm = np.hypot(offset[:, 0], offset[:, 1])
-        degenerate = norm < 1e-300
-        degenerate_hits.append(int(degenerate.sum()))
-        offset[degenerate] = (1.0, 0.0)
-        norm[degenerate] = 1.0
-        pts[bad] = centers + dmin * offset / norm[:, None]
+        hits = 0
+        for i in np.flatnonzero(bad):
+            b = tree.data[nearest[i]]
+            corner = None
+            if corners and last[i] is not None:
+                corner = reference_corner(*pts[i], last[i], b, dmin)
+            if corner is not None:
+                pts[i] = corner
+            else:
+                offset = pts[i] - b
+                norm = np.hypot(offset[0], offset[1])
+                if norm < 1e-300:
+                    hits += 1
+                    offset, norm = np.array([1.0, 0.0]), 1.0
+                pts[i] = b + dmin * offset / norm
+            last[i] = b
+        degenerate_hits.append(hits)
         pts = instance.box.clamp(pts)
     dist, _ = tree.query(pts)
     return pts, dist >= dmin - refine_mod.FEAS_TOL
@@ -494,6 +521,11 @@ class TestRefineManyErrors:
         wide = np.column_stack([good, [0.0, 0.0]])
         with pytest.raises(InfeasibleStartError, match=r"^start 1 has shape \(2, 3\), not \(2, 2\)$"):
             refine_many(inst100, 1.0, [good, wide])
+        # a start that is no array at all: ragged, first or later
+        with pytest.raises(InfeasibleStartError, match=r"^start 0 is not an array of points"):
+            refine_many(voromedian.generate(30), 0.0, [[[1, 2], [3]]])
+        with pytest.raises(InfeasibleStartError, match=r"^start 1 is not an array of points"):
+            refine_many(inst100, 1.0, [good, [good[0], [3.0]], good])
         assert calls == []
 
     @pytest.mark.parametrize("dmin", [0.0, 1.0])
@@ -598,3 +630,65 @@ class TestRefineStats:
         starts = list(pts.reshape(4, 3, 2))
         batch = refine_many(inst100, 0.95, starts)
         assert [s.stats for s in batch] == [refine(inst100, 0.95, s).stats for s in starts]
+
+
+def two_circle_instance(*protected):
+    return Instance(demand_xy=[[0, 0]], weights=[1.0], obnoxious_xy=protected,
+                    box=BoundingBox(0, 0, 10, 10))
+
+
+def clearance(instance, pts):
+    return instance.protected_tree.query(np.atleast_2d(pts))[0]
+
+
+class TestCornerStep:
+    """A point that a projection pushes off circle A into circle B goes to
+    the crossing of the two circles nearer to it."""
+
+    def test_lens_point_lands_on_the_nearer_crossing(self):
+        inst = two_circle_instance([4, 5], [5, 5])
+        # nearest B, projected onto B's circle inside A, then to the upper crossing
+        pts, feasible, queries = refine_mod._feasibility_fix(np.array([[4.6, 5.2]]), inst, 1.0)
+        assert queries.tolist() == [3] and feasible.all()
+        assert np.allclose(pts[0], (4.5, 5 + math.sqrt(0.75)), rtol=0, atol=1e-12)
+        for center in ([4, 5], [5, 5]):
+            assert np.hypot(*(pts[0] - center)) >= 1.0 - refine_mod.FEAS_TOL
+        # mirrored below the centre line, the lower crossing
+        pts, _, queries = refine_mod._feasibility_fix(np.array([[4.6, 4.8]]), inst, 1.0)
+        assert queries.tolist() == [3]
+        assert np.allclose(pts[0], (4.5, 5 - math.sqrt(0.75)), rtol=0, atol=1e-12)
+
+    def test_circles_that_do_not_cross_project_radially(self):
+        # tangent circles on a lattice 2 * dmin apart, the box edge among them
+        grid = np.arange(0.0, 10.5, 1.0)
+        inst = two_circle_instance(*np.array(np.meshgrid(grid, grid)).reshape(2, -1).T)
+        pts = np.random.default_rng(4).uniform(-0.5, 10.5, size=(2000, 2))
+        got, feasible, _ = refine_mod._feasibility_fix(pts, inst, 0.5)
+        tree = cKDTree(inst.obnoxious_xy)
+        want, want_feasible = reference_feasibility_fix(pts, inst, 0.5, tree, [], corners=False)
+        assert np.array_equal(got, want)
+        assert np.array_equal(feasible, want_feasible)
+        assert (clearance(inst, inst.box.clamp(pts)) < 0.5).sum() > 1000
+
+    def test_crossing_inside_a_third_circle_keeps_projecting(self):
+        inst = two_circle_instance([4, 5], [5, 5], [4.5, 6.2])
+        pts, feasible, queries = refine_mod._feasibility_fix(np.array([[4.6, 5.2]]), inst, 1.0)
+        assert queries[0] > 3
+        assert feasible[0] == (clearance(inst, pts)[0] >= 1.0 - refine_mod.FEAS_TOL)
+        # a crowd of overlapping circles: every flag is a fresh query's answer
+        rng = np.random.default_rng(5)
+        crowd = two_circle_instance(*rng.uniform(3, 7, size=(12, 2)))
+        pts, feasible, queries = refine_mod._feasibility_fix(
+            rng.uniform(2, 8, size=(3000, 2)), crowd, 1.2)
+        assert np.array_equal(feasible, clearance(crowd, pts) >= 1.2 - refine_mod.FEAS_TOL)
+        assert (queries > 3).any() and feasible.any()
+
+    def test_random_baseline_batch_queries(self, inst1000, monkeypatch):
+        # the 10-start n=1000 batch took 429,914 clearance queries with
+        # radial projections only
+        batch = []
+        many = refine_mod.refine_many
+        monkeypatch.setattr(refine_mod, "refine_many", lambda *a: batch.extend(many(*a)) or batch)
+        multistart_random(inst1000, 0.3, 20, tries=10, seed=1)
+        assert len(batch) == 10
+        assert sum(s.stats["projected"] for s in batch) <= 250_000

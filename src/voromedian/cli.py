@@ -104,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--instance", required=True)
     s.add_argument("--dmin", type=_nonneg_float, required=True)
     s.add_argument("--p", type=_positive_int, required=True)
-    s.add_argument("--mode", choices=["exact", "heuristic", "auto"], default="auto")
+    s.add_argument("--mode", choices=["exact", "heuristic", "auto"], default="auto",
+                   help="discrete solver (auto: exact up to 10^7 p-subsets); no effect at --dmin 0")
     s.add_argument("--starts", type=_positive_int, default=DEFAULT_STARTS,
                    help=STARTS_HELP)
     s.add_argument("--seed", type=_nonneg_int, default=0)

@@ -2,9 +2,10 @@
 
 Selecting p of m candidate columns to minimize the weighted sum of each
 demand row's distance to its closest selected column. Solved exactly by one
-best-first branch-and-bound, warm-started by an interchange run, whose bound
-is the larger of an assignment bound and a cardinality gain bound; and
-heuristically by multistart greedy construction plus vertex substitution.
+best-first branch-and-bound, warm-started by an interchange run, which
+queues nodes under an assignment bound and prunes popped ones by a
+cardinality gain bound; and heuristically by multistart greedy
+construction plus vertex substitution.
 `solve` is the stage's entry point: it picks between the two by mode. A
 solution is its selected columns, their objective and whether it is proven;
 the refine stage reassigns every demand row, so no assignment is kept.
@@ -106,28 +107,27 @@ def _branch_and_bound(matrix, weights, p, incumbent, incumbent_obj):
     completions add columns from position `idx` of `order` on; expanding it
     makes one child per column it may add next.
 
-    A node's bound is the larger of two lower bounds on its completions:
-    - assignment: every row served by its nearest column among the chosen
-      ones and order[idx:], as if all of them could stay. One vectorised
-      pass gives it for all children of a node, which are queued under it;
-    - gain, added when a node is popped with something chosen: with c_i the
-      distance from row i to its nearest chosen column, a free column j
-      saves at most g_j = sum_i w_i max(0, c_i - d_ij), and a set saves at
-      most the sum of its members' savings, so `need` more columns cost at
-      least w.c minus the `need` largest g_j. A node whose gain bound
-      exceeds its key is queued again under it.
-    A node that needs one more column is closed by its cheapest completion.
+    A node is queued under its assignment bound: every row served by its
+    nearest column among the chosen ones and order[idx:], as if all of them
+    could stay. One vectorised pass gives it for all children of a node.
+    A popped node with something chosen is first tested against a gain
+    bound: with c_i the distance from row i to its nearest chosen column, a
+    free column j saves at most g_j = sum_i w_i max(0, c_i - d_ij), and a
+    set saves at most the sum of its members' savings, so `need` more
+    columns cost at least w.c minus the `need` largest g_j. A popped node
+    whose gain bound reaches the incumbent is pruned. A node that needs one
+    more column is closed by its cheapest completion.
     """
     nd, m = matrix.shape
     order = np.argsort(matrix.mean(axis=0))  # promising columns first
     cols = np.ascontiguousarray(matrix.T[order])  # cols[k]: column order[k]
     # suffix[k]: each demand row's nearest column among order[k:]
     suffix = np.minimum.accumulate(cols[::-1], axis=0)[::-1]
-    heap = [(float(weights @ suffix[0]), 0, (), 0, False)]
+    heap = [(float(weights @ suffix[0]), 0, (), 0)]
     tick = itertools.count(1)
     nodes = 0
     while heap:
-        bound, _, chosen, idx, gained = heapq.heappop(heap)
+        bound, _, chosen, idx = heapq.heappop(heap)
         if bound >= incumbent_obj - 1e-12:
             break  # the heap is bound-ordered: everything left is pruned
         nodes += 1
@@ -135,29 +135,22 @@ def _branch_and_bound(matrix, weights, p, incumbent, incumbent_obj):
             return incumbent, False, nodes - 1
         need, free = p - len(chosen), m - idx
         c = matrix[:, list(chosen)].min(axis=1) if chosen else np.full(nd, np.inf)
-        if need == 1 or need == free:
-            if need == 1:  # the cheapest free column completes the set
-                k = idx + int(np.argmin(np.minimum(c, cols[idx:]) @ weights))
-                leaf, obj = chosen + (int(order[k]),), float(weights @ np.minimum(c, cols[k]))
-            else:
-                leaf = chosen + tuple(int(j) for j in order[idx:])
-                obj = float(weights @ np.minimum(c, suffix[idx]))
+        if need == 1:  # the cheapest free column completes the set
+            k = idx + int(np.argmin(np.minimum(c, cols[idx:]) @ weights))
+            obj = float(weights @ np.minimum(c, cols[k]))
             if obj < incumbent_obj:
-                incumbent, incumbent_obj = tuple(sorted(leaf)), obj
+                incumbent, incumbent_obj = tuple(sorted(chosen + (int(order[k]),))), obj
             continue
-        if chosen and not gained:
+        if chosen:
             gains = np.maximum(c - cols[idx:], 0.0) @ weights
             top = np.partition(gains, free - need)[free - need:]
-            gain_bound = float(weights @ c - top.sum())
-            if gain_bound > bound:
-                if gain_bound < incumbent_obj - 1e-12:
-                    heapq.heappush(heap, (gain_bound, next(tick), chosen, idx, True))
+            if float(weights @ c - top.sum()) >= incumbent_obj - 1e-12:
                 continue
         # child t adds order[idx + t]; it may then add order[idx + t + 1:]
         child = np.minimum(c, suffix[idx:m - need + 1]) @ weights
         for t in np.flatnonzero(child < incumbent_obj - 1e-12).tolist():
             heapq.heappush(heap, (float(child[t]), next(tick),
-                                  chosen + (int(order[idx + t]),), idx + t + 1, False))
+                                  chosen + (int(order[idx + t]),), idx + t + 1))
     return incumbent, True, nodes
 
 

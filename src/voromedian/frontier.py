@@ -47,7 +47,6 @@ class FrontierRecord:
     # branch-and-bound, or by the Lagrangian bound within discrete.PROOF_TOL
     proven: bool
     repaired: bool = False
-    repaired_from: float | None = None  # clearance the adopted solution was found at
     discrete: DiscreteSolution | None = None  # None at D = 0 and on a gap
     refined: refine_mod.ContinuousSolution | None = None  # None on a gap
 
@@ -160,9 +159,8 @@ def sweep(
 def _repair_envelope(records: list[FrontierRecord]) -> list[FrontierRecord]:
     """Propagate better large-clearance solutions down to smaller clearances
     (they remain feasible there), flagging replaced records. A repaired
-    record adopts the donor's refined stage, keeps its own discrete stage
-    and `proven` flag, and names the clearance its adopted solution was
-    found at."""
+    record adopts the donor's refined stage and keeps its own discrete
+    stage and `proven` flag."""
     best: FrontierRecord | None = None
     for rec in reversed(records):
         if rec.objective is None:
@@ -172,7 +170,6 @@ def _repair_envelope(records: list[FrontierRecord]) -> list[FrontierRecord]:
             rec.facilities = best.facilities.copy()
             rec.refined = best.refined
             rec.repaired = True
-            rec.repaired_from = best.dmin if best.repaired_from is None else best.repaired_from
         if best is None or rec.objective <= best.objective:
             best = rec
     return records

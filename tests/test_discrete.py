@@ -106,6 +106,14 @@ class TestSolveExact:
         assert scaled.selected == base.selected
         assert scaled.objective == pytest.approx(4.5 * base.objective, rel=1e-12)
 
+    def test_node_count_on_benchmark_matrix(self, inst100):
+        # m=50; pops 40,423 nodes. Requeueing a popped node under its gain
+        # bound, instead of pruning or expanding it at once, pops 42,543
+        matrix = build_matrix(inst100, feasible_candidates(inst100, 0.95)[0])
+        sol = solve_exact(matrix, inst100.weights, 5)
+        assert sol.proven
+        assert sol.stats["nodes"] <= 41_000
+
 
 class TestSolutionInvariants:
     def test_objective_recomputable(self, inst100):

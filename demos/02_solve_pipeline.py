@@ -12,7 +12,6 @@ Run: python demos/02_solve_pipeline.py
 import numpy as np
 
 from voromedian import feasible_candidates, generate, solve_one
-from voromedian.candidates import nearest_obnoxious
 
 inst = generate(100)
 dmin, p = 0.95, 5
@@ -31,9 +30,9 @@ trace = record.refined.trace
 print(f"\ncontinuous stage: objective {record.objective:.2f} "
       f"after {len(trace) - 1} rounds")
 print("round trace:", " -> ".join(f"{v:.2f}" for v in trace))
-for f in record.facilities:
+for f in record.facilities:  # inst.protected_tree is the clearance oracle
     print(f"  facility at ({f[0]:.5f}, {f[1]:.5f}), "
-          f"clearance {nearest_obnoxious(f, inst):.5f}")
+          f"clearance {inst.protected_tree.query(f)[0]:.5f}")
 
 moved = np.hypot(*(record.facilities - discrete.sites).T)
 print(f"\nfacilities moved {moved.min():.4f}..{moved.max():.4f} miles off their seeds")

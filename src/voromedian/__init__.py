@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .candidates import (
     TriangleAreaReport,
     feasible_candidates,
-    nearest_obnoxious,
     sample_feasible,
     triangle_feasible_area,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "feasible_candidates",
     "generate",
     "multistart_random",
-    "nearest_obnoxious",
     "read_instance",
     "refine_many",
     "sample_feasible",

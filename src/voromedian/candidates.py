@@ -5,9 +5,10 @@ to the instance box, annotated with its clearance (distance to the nearest
 protected point). A candidate is feasible for a minimum-distance requirement
 `dmin` when its clearance is at least `dmin`. Candidates are held as two
 read-only arrays, `(xy, clearance)`, from the Voronoi step to the distance
-matrix, built once per instance and sorted by descending clearance; the one
-clearance filter, `feasible_candidates`, returns a prefix of them.
-Every clearance here, sampling included, queries `instance.protected_tree`.
+matrix, built once per instance; this module sorts the (x, y)-ordered vertices
+by descending clearance, so the one clearance filter, `feasible_candidates`,
+returns a prefix of them. Every clearance here, sampling included, queries
+`instance.protected_tree`.
 
 Also provides closed-form area/reach estimates for the small feasible pocket
 around a candidate whose clearance barely exceeds the requirement (three
@@ -30,7 +31,7 @@ SAMPLE_CHUNK = 8192  # box points drawn per rejection-sampling pass
 
 
 class EmptyObnoxiousSetError(ValueError):
-    """Clearance queried against an instance with no protected points."""
+    """Candidates asked of an instance with no protected points."""
 
 
 @dataclass
@@ -53,24 +54,20 @@ class TriangleAreaReport:
     dmax_approx: float | None = None
 
 
-def nearest_obnoxious(q, instance: Instance) -> float:
-    """Exact Euclidean distance from q to the closest protected point."""
-    if instance.n_obnoxious == 0:
-        raise EmptyObnoxiousSetError("instance has no protected points")
-    return float(instance.protected_tree.query(np.atleast_2d(q))[0][0])
-
-
 def candidate_vertices(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
     """All clipped Voronoi vertices of the protected set with clearances.
 
-    Returns (xy, d_nearest) sorted by descending clearance, ties by (x, y).
-    The first call that succeeds keeps both, read-only, in `instance.candidates`.
+    Returns (xy, d_nearest) sorted by descending clearance; the sort is
+    stable over the diagram's (x, y) order, so ties go by (x, y). The first
+    call that succeeds keeps both, read-only, in `instance.candidates`.
     """
     if instance.candidates is None:
         if instance.n_obnoxious == 0:
             raise EmptyObnoxiousSetError("instance has no protected points")
         verts = voronoi_vertices(instance.obnoxious_xy, instance.box)
         clearance = instance.protected_tree.query(verts)[0]
+        order = np.argsort(-clearance, kind="stable")
+        verts, clearance = verts[order], clearance[order]
         verts.flags.writeable = clearance.flags.writeable = False
         instance.candidates = verts, clearance
     return instance.candidates

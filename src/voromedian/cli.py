@@ -36,10 +36,9 @@ import numpy as np
 from . import __version__
 from .candidates import EmptyObnoxiousSetError, feasible_candidates, write_candidates_csv
 from .charts import write_frontier_chart
-from .discrete import PROOF_TOL, InfeasibleCardinalityError
+from .discrete import DEFAULT_STARTS, PROOF_TOL, InfeasibleCardinalityError
 from .frontier import (
     DEFAULT_GRID_STEPS,
-    DEFAULT_STARTS,
     NoFeasibleCandidatesError,
     default_grid,
     solve_one,

@@ -54,6 +54,7 @@ from .instances import Instance
 
 EXACT_LIMIT = 10_000_000  # auto mode solves exactly up to this many p-subsets
 NODE_BUDGET = 10_000_000  # branch-and-bound nodes before the incumbent is returned unproven
+DEFAULT_STARTS = 100  # interchange runs per discrete solve, at most
 # A solution is proven when UB - LB <= PROOF_TOL * UB: far above the ~1e-14
 # relative rounding of the bound, far below any objective difference the
 # pipeline reports.
@@ -393,7 +394,7 @@ def solve_interchange(
     matrix: np.ndarray,
     weights,
     p: int,
-    starts: int = 100,
+    starts: int = DEFAULT_STARTS,
     seed: int = 0,
 ) -> DiscreteSolution:
     """Best of at most `starts` greedy + vertex-substitution runs; stops
@@ -470,7 +471,7 @@ def solve(
     weights,
     p: int,
     mode: str = "auto",
-    starts: int = 100,
+    starts: int = DEFAULT_STARTS,
     seed: int = 0,
 ) -> DiscreteSolution:
     """The discrete stage by mode: "exact", "heuristic" (best of at most

@@ -26,10 +26,9 @@ import numpy as np
 
 from . import discrete, refine as refine_mod
 from .candidates import candidate_vertices, feasible_candidates
-from .discrete import DiscreteSolution
+from .discrete import DEFAULT_STARTS, DiscreteSolution
 from .instances import Instance
 
-DEFAULT_STARTS = 100
 DEFAULT_GRID_STEPS = 60
 
 

@@ -12,8 +12,8 @@ the circumcenters of adjacent triangles, outward rays from hull triangles,
 or the bisector of two sites. One Liang-Barsky clip of the whole list gives
 the crossings.
 
-Vertices are deduplicated and returned sorted by descending distance to the
-nearest site, ties broken by (x, y); identical inputs give identical output.
+Vertices are deduplicated and returned in (x, y) order; identical inputs
+give identical output.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ def _crossings(origin, direction, t_lo, t_hi, box: BoundingBox) -> np.ndarray:
 
 def voronoi_vertices(sites, box: BoundingBox) -> np.ndarray:
     """Vertex set of the Voronoi diagram of `sites` clipped to `box`, as an
-    (m, 2) array sorted by descending nearest-site distance, ties by (x, y).
+    (m, 2) array in (x, y) order.
 
     Each Voronoi edge is a row (origin, direction, t range): t in [0, 1]
     between adjacent circumcenters, [0, inf) for a hull ray along the outward
@@ -184,20 +184,15 @@ def voronoi_vertices(sites, box: BoundingBox) -> np.ndarray:
 
     raw = [box.corners(), centers[box.contains(centers, tol=EPS_GEO)],
            _crossings(origin, direction, t_lo, t_hi, box)]
-    return _dedup_sort(np.concatenate(raw), sites, box)  # clamps every point
+    return _dedup(np.concatenate(raw), box)  # clamps every point
 
 
-def _dedup_sort(points: np.ndarray, sites: np.ndarray, box: BoundingBox) -> np.ndarray:
-    """Clamp onto the box, drop duplicates within EPS_DEDUP, sort by
-    descending nearest-site distance then (x, y)."""
+def _dedup(points: np.ndarray, box: BoundingBox) -> np.ndarray:
+    """Clamp onto the box, sort by (x, y), drop duplicates within EPS_DEDUP."""
     points = box.clamp(points)
-    order = np.lexsort((points[:, 1], points[:, 0]))
-    points = points[order]
+    points = points[np.lexsort((points[:, 1], points[:, 0]))]
     keep = np.ones(len(points), dtype=bool)
     for i, j in sorted(cKDTree(points).query_pairs(EPS_DEDUP)):
         if keep[i]:
             keep[j] = False
-    points = points[keep]
-
-    order = np.lexsort((points[:, 1], points[:, 0], -cKDTree(sites).query(points)[0]))
-    return points[order]
+    return points[keep]

@@ -11,7 +11,6 @@ import pytest
 
 from voromedian.candidates import (
     feasible_candidates,
-    nearest_obnoxious,
     triangle_feasible_area,
 )
 from voromedian.cli import main
@@ -322,7 +321,7 @@ class TestCriterion10PropertySuites:
             sol = refine(inst100, 0.95, start)
             assert (np.diff(sol.trace) <= 1e-9).all()
             for f in sol.facilities:
-                assert nearest_obnoxious(f, inst100) >= 0.95 - 1e-9
+                assert inst100.protected_tree.query(f)[0] >= 0.95 - 1e-9
         _report(10, f"refine monotone per round, facilities feasible within "
                     f"1e-9 [{time.time()-t0:.1f}s]")
 
@@ -331,7 +330,7 @@ class TestCriterion10PropertySuites:
         for dmin, p in ((0.95, 5), (1.2, 3)):
             rec = solve_one(inst100, p=p, dmin=dmin, seed=0)
             for f in rec.facilities:
-                assert nearest_obnoxious(f, inst100) >= dmin - 1e-9
+                assert inst100.protected_tree.query(f)[0] >= dmin - 1e-9
         _report(10, f"pipeline facilities clear their own requirement "
                     f"[{time.time()-t0:.1f}s]")
 

@@ -12,7 +12,6 @@ from voromedian.candidates import (
     Lcg64,
     candidate_vertices,
     feasible_candidates,
-    nearest_obnoxious,
     sample_feasible,
     triangle_feasible_area,
     write_candidates_csv,
@@ -35,21 +34,20 @@ def toy_instance():
     )
 
 
-class TestNearestObnoxious:
+class TestClearanceOracle:
     def test_three_four_five(self):
-        assert nearest_obnoxious((0, 0), toy_instance()) == 5.0
+        assert toy_instance().protected_tree.query((0, 0))[0] == 5.0
 
     def test_coincident_is_zero(self):
-        assert nearest_obnoxious((3, 4), toy_instance()) == 0.0
+        assert toy_instance().protected_tree.query((3, 4))[0] == 0.0
 
-    def test_empty_set_raises(self):
+    def test_empty_set_is_infinitely_far(self):
         inst = Instance(demand_xy=[[0, 0]], weights=[1.0], obnoxious_xy=[],
                         box=BoundingBox(-1, -1, 1, 1))
-        with pytest.raises(EmptyObnoxiousSetError):
-            nearest_obnoxious((0, 0), inst)
+        assert inst.protected_tree.query((0, 0))[0] == math.inf
 
     def test_benchmark_boundary_vertex_clearance(self, inst100):
-        assert nearest_obnoxious((0.0, 3.61453), inst100) == pytest.approx(
+        assert inst100.protected_tree.query((0.0, 3.61453))[0] == pytest.approx(
             1.66317, abs=5e-5
         )
 
@@ -69,13 +67,14 @@ class TestFeasibleCandidates:
         assert large <= small
 
     def test_sorted_descending_with_xy_ties(self, inst100):
-        xy, clearance = feasible_candidates(inst100, 0.5)
-        keys = [(-c, x, y) for (x, y), c in zip(xy.tolist(), clearance.tolist())]
-        assert keys == sorted(keys)
+        for dmin in (0.0, 0.5):  # 0.0 takes the whole candidate set
+            xy, clearance = feasible_candidates(inst100, dmin)
+            keys = [(-c, x, y) for (x, y), c in zip(xy.tolist(), clearance.tolist())]
+            assert keys == sorted(keys), dmin
 
     def test_clearances_are_exact(self, inst100):
         for q, c in zip(*feasible_candidates(inst100, 1.2)):
-            assert c == pytest.approx(nearest_obnoxious(q, inst100), abs=1e-9)
+            assert c == pytest.approx(inst100.protected_tree.query(q)[0], abs=1e-9)
 
     def test_negative_dmin_rejected(self, inst100):
         for dmin in (-0.1, float("nan")):
@@ -184,7 +183,7 @@ class TestSampleFeasible:
         pts, exhausted = sample_feasible(inst100, 0.95, count=500, seed=3)
         assert not exhausted and len(pts) == 500
         for q in pts[:: 25]:
-            assert nearest_obnoxious(q, inst100) >= 0.95
+            assert inst100.protected_tree.query(q)[0] >= 0.95
 
     def test_deterministic(self, inst100):
         a, _ = sample_feasible(inst100, 0.5, count=50, seed=11)
@@ -459,6 +458,8 @@ class TestCandidateSetBuiltOnce:
         # the filter the prefix replaced, over a diagram built apart from the kept one
         verts = voronoi_vertices(inst100.obnoxious_xy, inst100.box)
         clearance = inst100.protected_tree.query(verts)[0]
+        order = np.lexsort((verts[:, 1], verts[:, 0], -clearance))
+        verts, clearance = verts[order], clearance[order]
         dmins = np.unique(clearance)
         for dmin in [0.0, *dmins, *np.nextafter(dmins, np.inf)]:
             keep = clearance >= dmin

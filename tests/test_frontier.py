@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from voromedian import frontier
-from voromedian.candidates import feasible_candidates, nearest_obnoxious
+from voromedian.candidates import feasible_candidates
 from voromedian.discrete import InfeasibleCardinalityError
 from voromedian.frontier import (
     FrontierRecord,
@@ -26,7 +26,7 @@ class TestSolveOne:
         rec = solve_one(inst100, p=3, dmin=1.2, seed=1)
         assert rec.candidate_count == len(feasible_candidates(inst100, 1.2)[0])
         for f in rec.facilities:
-            assert nearest_obnoxious(f, inst100) >= 1.2 - 1e-9
+            assert inst100.protected_tree.query(f)[0] >= 1.2 - 1e-9
         # stored objective recomputable from the facilities
         from voromedian.refine import assign
         _, cost = assign(rec.facilities, inst100)
@@ -80,7 +80,7 @@ class TestSweep:
         recs = sweep(inst100, p=3, grid=[0.6, 1.0, 1.3], seed=4)
         for r in recs:
             for f in r.facilities:
-                assert nearest_obnoxious(f, inst100) >= r.dmin - 1e-9
+                assert inst100.protected_tree.query(f)[0] >= r.dmin - 1e-9
 
     def test_grid_validation(self, inst100):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from scipy.spatial import cKDTree
 
 import voromedian
 import voromedian.refine as refine_mod
-from voromedian.candidates import nearest_obnoxious, sample_feasible
+from voromedian.candidates import sample_feasible
 from voromedian.geometry import BoundingBox
 from voromedian.instances import Instance
 from voromedian.refine import (
@@ -80,7 +80,7 @@ class TestConstrainedWeber:
         inst = Instance(demand_xy=[[5, 5]], weights=[2.0], obnoxious_xy=[[5, 5]],
                         box=BoundingBox(0, 0, 10, 10))
         y = one_cluster_weber([[5, 5]], [2.0], start=[5.0, 8.0], instance=inst, dmin=1.5)
-        assert nearest_obnoxious(y, inst) == pytest.approx(1.5, abs=1e-9)
+        assert inst.protected_tree.query(y)[0] == pytest.approx(1.5, abs=1e-9)
         assert cluster_cost([[5, 5]], [2.0], y) == pytest.approx(3.0, abs=1e-8)
 
     def test_blocked_pair_grid_oracle(self):
@@ -121,7 +121,7 @@ class TestConstrainedWeber:
         # from these starts it actually attains it
         for start in ([1.0, 0.6], [1.0, 1.0], [0.2, 0.1], [1.8, -0.3], [1.0, -2.0]):
             y = one_cluster_weber(xy, w, start=start, instance=inst, dmin=dmin)
-            assert nearest_obnoxious(y, inst) >= dmin - 1e-9
+            assert inst.protected_tree.query(y)[0] >= dmin - 1e-9
             assert cluster_cost(xy, w, y) >= oracle - 1e-9
             assert cluster_cost(xy, w, y) <= cluster_cost(xy, w, start) + 1e-12
             assert cluster_cost(xy, w, y) == pytest.approx(oracle, abs=1e-6)
@@ -178,7 +178,7 @@ class TestRefine:
         start, _ = sample_feasible(inst100, 1.0, count=4, seed=4)
         sol = refine(inst100, 1.0, start)
         for f in sol.facilities:
-            assert nearest_obnoxious(f, inst100) >= 1.0 - 1e-9
+            assert inst100.protected_tree.query(f)[0] >= 1.0 - 1e-9
 
     def test_infeasible_start_rejected(self, inst100):
         with pytest.raises(InfeasibleStartError):
@@ -246,7 +246,7 @@ class TestMultistartRandom:
     def test_single_try_is_valid_solution(self, inst100):
         sol = multistart_random(inst100, 0.95, p=3, tries=1, seed=5)
         for f in sol.facilities:
-            assert nearest_obnoxious(f, inst100) >= 0.95 - 1e-9
+            assert inst100.protected_tree.query(f)[0] >= 0.95 - 1e-9
 
     def test_deterministic(self, inst100):
         a = multistart_random(inst100, 0.95, p=3, tries=3, seed=5)

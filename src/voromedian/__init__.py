@@ -23,7 +23,6 @@ from .discrete import (
 )
 from .frontier import (
     FrontierRecord,
-    NoFeasibleCandidatesError,
     default_grid,
     solve_one,
     sweep,
@@ -52,7 +51,6 @@ __all__ = [
     "Instance",
     "InfeasibleCardinalityError",
     "InfeasibleStartError",
-    "NoFeasibleCandidatesError",
     "NoFeasibleSampleError",
     "RefineMonotonicityError",
     "TriangleAreaReport",

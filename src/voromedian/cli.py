@@ -8,13 +8,14 @@ Subcommands:
   baseline    candidate-seeded vs random-feasible multistart comparison
 
 Exit codes: 0 success; 2 usage (a non-finite clearance or grid bound, or a
-negative seed, included); 3 infeasible or empty result; 4 I/O, parse (a
-non-finite box bound or weight included) or degenerate-instance failure
-(collinear, coinciding or no protected points); 5 exact mode finished
-without an optimality proof.
+negative seed, included); 3 too few candidates (none included) or no
+feasible sample; 4 I/O, parse (a non-finite box bound or weight included)
+or degenerate-instance failure (collinear, coinciding or no protected
+points); 5 exact mode finished without an optimality proof.
 
 Every solve goes through `frontier.solve_one`; `solve` reports both stages
-of its record, and `baseline`'s seeded side is `solve` with default flags.
+of its record, each as its fields in order, and `baseline`'s seeded side is
+`solve` with default flags.
 `--starts` caps the interchange multistarts, which stop once proven, and
 also sets the unconstrained tries at dmin=0.
 
@@ -30,6 +31,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -37,14 +39,7 @@ from . import __version__
 from .candidates import EmptyObnoxiousSetError, feasible_candidates, write_candidates_csv
 from .charts import write_frontier_chart
 from .discrete import DEFAULT_STARTS, PROOF_TOL, InfeasibleCardinalityError
-from .frontier import (
-    DEFAULT_GRID_STEPS,
-    NoFeasibleCandidatesError,
-    default_grid,
-    solve_one,
-    sweep,
-    write_frontier_csv,
-)
+from .frontier import DEFAULT_GRID_STEPS, default_grid, solve_one, sweep, write_frontier_csv
 from .geometry import CollinearSitesError, DuplicateSitesError
 from .instances import InstanceParseError, generate, read_instance, write_instance
 from .refine import NoFeasibleSampleError, multistart_random
@@ -91,15 +86,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="write a benchmark instance file")
+    g.set_defaults(run=cmd_generate)
     g.add_argument("--n", type=_positive_int, required=True, help="number of points (1..1000)")
     g.add_argument("--out", required=True, help="instance file to write")
 
     c = sub.add_parser("candidates", help="feasible candidate sites as CSV")
+    c.set_defaults(run=cmd_candidates)
     c.add_argument("--instance", required=True)
     c.add_argument("--dmin", type=_nonneg_float, required=True, help="minimum clearance")
     c.add_argument("--out", required=True, help="CSV file to write")
 
     s = sub.add_parser("solve", help="solve at one clearance, JSON report")
+    s.set_defaults(run=cmd_solve)
     s.add_argument("--instance", required=True)
     s.add_argument("--dmin", type=_nonneg_float, required=True)
     s.add_argument("--p", type=_positive_int, required=True)
@@ -111,6 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", required=True, help="JSON report to write")
 
     f = sub.add_parser("frontier", help="clearance sweep: CSV + SVG chart")
+    f.set_defaults(run=cmd_frontier)
     f.add_argument("--instance", required=True)
     f.add_argument("--p", type=_positive_int, required=True)
     f.add_argument("--grid-max", type=float, default=None,
@@ -126,6 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=STARTS_HELP)
 
     b = sub.add_parser("baseline", help="seeded vs random-start comparison")
+    b.set_defaults(run=cmd_baseline)
     b.add_argument("--instance", required=True)
     b.add_argument("--dmin", type=_nonneg_float, required=True)
     b.add_argument("--p", type=_positive_int, required=True)
@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _write_json(report: dict, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
+        json.dump(report, fh, indent=2, default=lambda a: a.tolist())  # numpy arrays
         fh.write("\n")
     print(f"wrote {path}")
 
@@ -175,20 +175,8 @@ def cmd_solve(args) -> int:
         "mode": args.mode,
         "seed": args.seed,
         "m": record.candidate_count,
-        "discrete": None if dsol is None else {
-            "objective": dsol.objective,
-            "selected": list(dsol.selected),
-            "sites": dsol.sites.tolist(),
-            "proven": dsol.proven,
-            "stats": dsol.stats,
-        },
-        "refined": {
-            "objective": rsol.objective,
-            "facilities": rsol.facilities.tolist(),
-            "assignment": rsol.assignment.tolist(),
-            "trace": rsol.trace,
-            "stats": rsol.stats,
-        },
+        "discrete": None if dsol is None else asdict(dsol),
+        "refined": asdict(rsol),
     }
     if dsol is None:
         print("unconstrained mode (dmin=0)")
@@ -214,11 +202,8 @@ def cmd_frontier(args) -> int:
     records = sweep(instance, args.p, grid, starts=args.starts, seed=args.seed,
                     workers=args.workers)
     write_frontier_csv(records, args.out_csv)
+    write_frontier_chart(records, args.out_svg)  # D = 0, always in the grid, is never a gap
     solved = [r for r in records if r.objective is not None]
-    if not solved:
-        print("no grid point was solvable (all gaps)", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    write_frontier_chart(records, args.out_svg)
     gaps = len(records) - len(solved)
     print(f"wrote {args.out_csv} and {args.out_svg} "
           f"({len(solved)} points, {gaps} gaps, objective "
@@ -243,8 +228,8 @@ def cmd_baseline(args) -> int:
         "candidate_seeded_objective": seeded.objective,
         "random_multistart_objective": random_best.objective,
         "gap_fraction": gap,
-        "candidate_seeded_facilities": seeded.facilities.tolist(),
-        "random_multistart_facilities": random_best.facilities.tolist(),
+        "candidate_seeded_facilities": seeded.facilities,
+        "random_multistart_facilities": random_best.facilities,
         "candidate_seeded_stats": {"discrete": None if seeded.discrete is None
                                    else seeded.discrete.stats, "refined": seeded.refined.stats},
         "random_multistart_stats": random_best.stats,
@@ -259,15 +244,8 @@ def cmd_baseline(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "generate": cmd_generate,
-        "candidates": cmd_candidates,
-        "solve": cmd_solve,
-        "frontier": cmd_frontier,
-        "baseline": cmd_baseline,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except InstanceParseError as exc:
         print(f"error: cannot parse instance: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -277,8 +255,7 @@ def main(argv=None) -> int:
     except (CollinearSitesError, DuplicateSitesError, EmptyObnoxiousSetError) as exc:
         print(f"error: degenerate instance: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (NoFeasibleCandidatesError, InfeasibleCardinalityError,
-            NoFeasibleSampleError) as exc:
+    except (InfeasibleCardinalityError, NoFeasibleSampleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 

@@ -65,17 +65,17 @@ ROW_CELLS = 1 << 16  # the bound's work buffer: at most this many matrix cells
 
 
 class InfeasibleCardinalityError(ValueError):
-    """Fewer candidates than facilities requested (m < p)."""
+    """Fewer candidates than facilities requested (m < p, none included)."""
 
 
 @dataclass
-class DiscreteSolution:
-    selected: tuple[int, ...]  # p column indices, ascending
+class DiscreteSolution:  # the solve report lists its fields in this order
     objective: float
+    selected: tuple[int, ...]  # p column indices, ascending
+    sites: np.ndarray | None = None  # (p, 2) selected coordinates, when known
     # True when optimality was proven: by branch-and-bound, by a Lagrangian
     # bound within PROOF_TOL relative, or in closed form at p = 1
-    proven: bool
-    sites: np.ndarray | None = None  # (p, 2) selected coordinates, when known
+    proven: bool = False
     # work done: branch-and-bound "nodes"; or interchange "starts" run, "lower_bound"
     # (None when no bound ran, the objective at p = 1), "bound_steps", "bound_gave_up"
     stats: dict = field(default_factory=dict)
@@ -96,10 +96,7 @@ def evaluate(matrix: np.ndarray, weights: np.ndarray, selected) -> DiscreteSolut
     each demand row is served by its closest selected column."""
     cols = sorted(int(c) for c in selected)
     return DiscreteSolution(
-        selected=tuple(cols),
-        objective=float(weights @ matrix[:, cols].min(axis=1)),
-        proven=False,
-    )
+        objective=float(weights @ matrix[:, cols].min(axis=1)), selected=tuple(cols))
 
 
 def _branch_and_bound(matrix, weights, p, incumbent, incumbent_obj):

@@ -9,11 +9,14 @@ by mode) and refines continuously from the selected sites. Its record
 carries both stages: the discrete solution with its selected sites, and
 the refined `ContinuousSolution`. A zero clearance bypasses the candidate
 restriction entirely and runs `starts` unconstrained tries, so its record
-has no discrete stage. `sweep` builds the candidate set before any worker
-copies the instance. Because the feasible candidate sets are nested (larger
-clearance, smaller set), any better solution found at a larger clearance is
-also feasible at every smaller one; a post-pass propagates such wins
-downward so the reported frontier is non-decreasing by construction.
+has no discrete stage, and it is never a gap. Fewer than p feasible
+candidates, none included, raise `discrete.InfeasibleCardinalityError`,
+which `sweep` records as a gap. `sweep` builds the candidate set before any
+worker copies the instance. Because the feasible candidate sets are nested
+(larger clearance, smaller set), any better solution found at a larger
+clearance is also feasible at every smaller one; a post-pass propagates
+such wins downward so the reported frontier is non-decreasing by
+construction.
 """
 
 from __future__ import annotations
@@ -30,10 +33,6 @@ from .discrete import DEFAULT_STARTS, DiscreteSolution
 from .instances import Instance
 
 DEFAULT_GRID_STEPS = 60
-
-
-class NoFeasibleCandidatesError(RuntimeError):
-    """No candidate vertex satisfies the clearance requirement."""
 
 
 @dataclass
@@ -85,9 +84,9 @@ def solve_one(
     """Full pipeline at one clearance value. `mode`, `starts` and `seed` go
     to `discrete.solve`; at D = 0 `starts` sets the unconstrained tries.
 
-    Raises ValueError for p < 1 or dmin < 0 (NaN too), NoFeasibleCandidatesError
-    when no candidate clears dmin and discrete's InfeasibleCardinalityError when
-    fewer than p do; sweep() turns the last two into gap records.
+    Raises ValueError for p < 1 or dmin < 0 (NaN too), and discrete's
+    InfeasibleCardinalityError when fewer than p candidates clear dmin (none
+    included); sweep() turns the latter into a gap record.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -96,7 +95,7 @@ def solve_one(
     if dmin == 0:
         rsol = _unconstrained(instance, p, starts, seed)
     elif len(cand_xy) == 0:
-        raise NoFeasibleCandidatesError(f"no candidate clears {dmin}")
+        raise discrete.InfeasibleCardinalityError(f"no candidate clears {dmin}")
     else:
         matrix = discrete.build_matrix(instance, cand_xy)
         dsol = discrete.solve(matrix, instance.weights, p, mode, starts, seed)
@@ -119,7 +118,7 @@ def default_grid(instance: Instance, steps: int = DEFAULT_GRID_STEPS) -> np.ndar
 def _solve_point(instance: Instance, p: int, dmin: float, **kwargs) -> FrontierRecord:
     try:
         return solve_one(instance, p, dmin, **kwargs)
-    except (NoFeasibleCandidatesError, discrete.InfeasibleCardinalityError):
+    except discrete.InfeasibleCardinalityError:
         # a gap; candidate_count == 0 tells "no candidates" from "fewer than p"
         m = len(feasible_candidates(instance, dmin)[0])
         return FrontierRecord(dmin=dmin, objective=None, facilities=None,
@@ -177,15 +176,13 @@ def _repair_envelope(records: list[FrontierRecord]) -> list[FrontierRecord]:
 def write_frontier_csv(records: list[FrontierRecord], path) -> None:
     """Frontier export: `D,objective,m,proven,x1,y1,...,xp,yp`; gap rows
     leave the objective and coordinates empty."""
+    p = max((len(r.facilities) for r in records if r.facilities is not None), default=0)
+    rows = [["D", "objective", "m", "proven"]
+            + [f"{c}{i + 1}" for i in range(p) for c in "xy"]]
+    for r in records:
+        solved = r.objective is not None
+        rows.append([f"{r.dmin:.17g}", f"{r.objective:.17g}" if solved else "",
+                     str(r.candidate_count), str(r.proven).lower()]
+                    + ([f"{v:.17g}" for v in r.facilities.ravel()] if solved else [""] * 2 * p))
     with open(path, "w", encoding="utf-8") as fh:
-        p = max((len(r.facilities) for r in records if r.facilities is not None), default=0)
-        coords = ",".join(f"x{i+1},y{i+1}" for i in range(p))
-        fh.write(f"D,objective,m,proven{',' + coords if coords else ''}\n")
-        for r in records:
-            if r.objective is None:
-                fh.write(f"{r.dmin:.17g},,{r.candidate_count},{str(r.proven).lower()}"
-                         + ",," * p + "\n")
-            else:
-                xy = ",".join(f"{v:.17g}" for v in r.facilities.ravel())
-                fh.write(f"{r.dmin:.17g},{r.objective:.17g},{r.candidate_count},"
-                         f"{str(r.proven).lower()},{xy}\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)

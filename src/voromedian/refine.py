@@ -75,10 +75,10 @@ class RefineMonotonicityError(RuntimeError):
 
 
 @dataclass
-class ContinuousSolution:
+class ContinuousSolution:  # the solve report lists its fields in this order
+    objective: float
     facilities: np.ndarray  # (p, 2)
     assignment: np.ndarray  # (nd,) facility index, nearest (ties: lowest)
-    objective: float
     trace: list[float] = field(default_factory=list)  # objective per round
     # rounds, passes (full steps), proposals (steps and halvings), projected
     # (clearance queries); see the module docstring

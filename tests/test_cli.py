@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -149,6 +150,10 @@ class TestSolve:
             "stats": rec.refined.stats,
         }
         assert set(rec.refined.stats) == {"rounds", "passes", "proposals", "projected"}
+        # each stage is reported as its record's fields, in field order
+        for stage in ("discrete", "refined"):
+            names = [f.name for f in dataclasses.fields(getattr(rec, stage))]
+            assert list(report[stage]) == names
 
     def test_unconstrained_report_is_the_solve_one_record(self, inst_file, tmp_path):
         out = tmp_path / "s.json"

@@ -6,7 +6,6 @@ from voromedian.candidates import feasible_candidates
 from voromedian.discrete import InfeasibleCardinalityError
 from voromedian.frontier import (
     FrontierRecord,
-    NoFeasibleCandidatesError,
     _repair_envelope,
     default_grid,
     solve_one,
@@ -33,7 +32,7 @@ class TestSolveOne:
         assert rec.objective == pytest.approx(cost, rel=1e-8)
 
     def test_no_candidates_raises(self, inst100):
-        with pytest.raises(NoFeasibleCandidatesError):
+        with pytest.raises(InfeasibleCardinalityError, match="no candidate clears"):
             solve_one(inst100, p=2, dmin=5.0)
 
     def test_nan_dmin_rejected(self, inst100):
@@ -56,9 +55,12 @@ class TestSolveOne:
 
 class TestSweep:
     def test_single_zero_grid(self, inst100):
-        recs = sweep(inst100, p=2, grid=[0.0], starts=5, seed=2)
-        assert len(recs) == 1
-        assert recs[0].dmin == 0.0 and recs[0].objective is not None
+        # D = 0 is never a gap, below the demand count (p < nd) and at or above it
+        for p in (2, 99, 100, 105):
+            recs = sweep(inst100, p=p, grid=[0.0], starts=5, seed=2)
+            assert len(recs) == 1
+            assert recs[0].dmin == 0.0 and recs[0].objective is not None, p
+            assert recs[0].facilities.shape == (p, 2)
 
     def test_gap_records(self, inst100):
         recs = sweep(inst100, p=4, grid=[1.3, 1.6, 5.0], seed=2)
@@ -180,3 +182,7 @@ class TestOutputs:
         # gap row leaves objective and coordinates empty
         gap_fields = lines[3].split(",")
         assert gap_fields[1] == "" and gap_fields[4] == ""
+        # an all-gap sweep has no facility columns
+        write_frontier_csv(sweep(inst100, p=2, grid=[5.0, 6.0], seed=6), path)
+        assert path.read_text().splitlines() == ["D,objective,m,proven", "5,,0,false",
+                                                 "6,,0,false"]

@@ -477,8 +477,8 @@ class TestRefineManyOracle:
         sols = assert_batch_matches_reference(inst100, 0.95, [pts, pts.copy(), pts])
         assert sols[0].objective == sols[1].objective == sols[2].objective
         # multistart keeps the first of equal objectives
-        tagged = [refine_mod.ContinuousSolution(np.full((3, 2), k), np.zeros(100, int),
-                                                obj, [obj])
+        tagged = [refine_mod.ContinuousSolution(objective=obj, facilities=np.full((3, 2), k),
+                                                assignment=np.zeros(100, int), trace=[obj])
                   for k, obj in enumerate([5.0, 4.0, 4.0, 6.0])]
         monkeypatch.setattr(refine_mod, "refine_many", lambda *a, **k: tagged)
         best = multistart_random(inst100, 0.95, p=3, tries=4, seed=1)

@@ -38,7 +38,7 @@ import numpy as np
 from . import __version__
 from .candidates import EmptyObnoxiousSetError, feasible_candidates, write_candidates_csv
 from .charts import write_frontier_chart
-from .discrete import DEFAULT_STARTS, PROOF_TOL, InfeasibleCardinalityError
+from .discrete import DEFAULT_STARTS, EXACT_LIMIT, PROOF_TOL, InfeasibleCardinalityError
 from .frontier import DEFAULT_GRID_STEPS, default_grid, solve_one, sweep, write_frontier_csv
 from .geometry import CollinearSitesError, DuplicateSitesError
 from .instances import InstanceParseError, generate, read_instance, write_instance
@@ -102,7 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--dmin", type=_nonneg_float, required=True)
     s.add_argument("--p", type=_positive_int, required=True)
     s.add_argument("--mode", choices=["exact", "heuristic", "auto"], default="auto",
-                   help="discrete solver (auto: exact up to 10^7 p-subsets); no effect at --dmin 0")
+                   help=f"discrete solver (auto: exact up to {EXACT_LIMIT:,} p-subsets); "
+                        "no effect at --dmin 0")
     s.add_argument("--starts", type=_positive_int, default=DEFAULT_STARTS,
                    help=STARTS_HELP)
     s.add_argument("--seed", type=_nonneg_int, default=0)

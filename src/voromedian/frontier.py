@@ -5,18 +5,18 @@ objective as a function of the minimum required clearance.
 sweep all call it. It reads the feasible candidates (a prefix of the
 instance's one candidate set) from `candidates.feasible_candidates`, solves
 the discrete restriction (`discrete.solve`, which picks exact or heuristic
-by mode) and refines continuously from the selected sites. Its record
+by mode) and makes one `refine` call from the selected sites. Its record
 carries both stages: the discrete solution with its selected sites, and
 the refined `ContinuousSolution`. A zero clearance bypasses the candidate
-restriction entirely and runs `starts` unconstrained tries, so its record
-has no discrete stage, and it is never a gap. Fewer than p feasible
-candidates, none included, raise `discrete.InfeasibleCardinalityError`,
-which `sweep` records as a gap. `sweep` builds the candidate set before any
-worker copies the instance. Because the feasible candidate sets are nested
-(larger clearance, smaller set), any better solution found at a larger
-clearance is also feasible at every smaller one; a post-pass propagates
-such wins downward so the reported frontier is non-decreasing by
-construction.
+restriction entirely and makes its one `refine` call from `starts`
+demand-point starts, so its record has no discrete stage, and it is never
+a gap. Fewer than p feasible candidates, none included, raise
+`discrete.InfeasibleCardinalityError`, which `sweep` records as a gap.
+`sweep` builds the candidate set before any worker copies the instance.
+Because the feasible candidate sets are nested (larger clearance, smaller
+set), any better solution found at a larger clearance is also feasible at
+every smaller one; a post-pass propagates such wins downward so the
+reported frontier is non-decreasing by construction.
 """
 
 from __future__ import annotations
@@ -49,28 +49,22 @@ class FrontierRecord:
     refined: refine_mod.ContinuousSolution | None = None  # None on a gap
 
 
-def _unconstrained(instance: Instance, p: int, tries: int, seed: int):
-    """Multistart location-allocation without clearance constraints.
-
-    One start is seeded from an interchange solve over the demand points
-    themselves; the remaining starts are random demand-point subsets. All
-    starts descend in one batch.
+def _unconstrained_starts(instance: Instance, p: int, tries: int, seed: int) -> list:
+    """Starts for the unconstrained (D = 0) descent. The first, which wins
+    ties, is seeded from an interchange solve over the demand points
+    themselves; the remaining `tries - 1` are random demand-point subsets.
     """
     x, w = instance.demand_xy, instance.weights
     if p >= instance.n_demand:
         # a facility on every demand point is optimal (cost 0); extras repeat
-        start = x[np.arange(p) % instance.n_demand]
-        return refine_mod.refine(instance, 0.0, start)
+        return [x[np.arange(p) % instance.n_demand]]
     dmat = discrete.build_matrix(instance, x)
     seeded = discrete.solve_interchange(dmat, w, p, starts=50, seed=seed)
-    del dmat  # not needed by the batched descent below
     rng = np.random.default_rng(seed)
-    starts = [x[list(seeded.selected)]] + [
+    return [x[list(seeded.selected)]] + [
         x[rng.choice(instance.n_demand, size=p, replace=False)]
         for _ in range(max(tries - 1, 0))
     ]
-    # the first of equal objectives wins, the seeded start before the others
-    return min(refine_mod.refine_many(instance, 0.0, starts), key=lambda s: s.objective)
 
 
 def solve_one(
@@ -81,8 +75,9 @@ def solve_one(
     starts: int = DEFAULT_STARTS,
     seed: int = 0,
 ) -> FrontierRecord:
-    """Full pipeline at one clearance value. `mode`, `starts` and `seed` go
-    to `discrete.solve`; at D = 0 `starts` sets the unconstrained tries.
+    """Full pipeline at one clearance value: choose the starts, then one
+    `refine` call. `mode`, `starts` and `seed` go to `discrete.solve`; at
+    D = 0 `starts` sets the unconstrained tries.
 
     Raises ValueError for p < 1 or dmin < 0 (NaN too), and discrete's
     InfeasibleCardinalityError when fewer than p candidates clear dmin (none
@@ -93,14 +88,15 @@ def solve_one(
     cand_xy, _ = feasible_candidates(instance, dmin)
     dsol = None
     if dmin == 0:
-        rsol = _unconstrained(instance, p, starts, seed)
+        begin = _unconstrained_starts(instance, p, starts, seed)
     elif len(cand_xy) == 0:
         raise discrete.InfeasibleCardinalityError(f"no candidate clears {dmin}")
     else:
         matrix = discrete.build_matrix(instance, cand_xy)
         dsol = discrete.solve(matrix, instance.weights, p, mode, starts, seed)
         dsol.sites = cand_xy[list(dsol.selected)]
-        rsol = refine_mod.refine(instance, dmin, dsol.sites)
+        begin = [dsol.sites]
+    rsol = refine_mod.refine(instance, dmin, *begin)
     return FrontierRecord(
         dmin=float(dmin) or 0.0,  # -0.0 is recorded as 0.0
         objective=rsol.objective, facilities=rsol.facilities,
@@ -168,8 +164,7 @@ def _repair_envelope(records: list[FrontierRecord]) -> list[FrontierRecord]:
             rec.facilities = best.facilities.copy()
             rec.refined = best.refined
             rec.repaired = True
-        if best is None or rec.objective <= best.objective:
-            best = rec
+        best = rec  # adopted, or no worse than every larger clearance
     return records
 
 

@@ -15,16 +15,16 @@ All accepted configurations are feasible, so every returned solution is
 too. The total objective is non-increasing, both per Weiszfeld step (per
 cluster) and per round.
 
-Several starts descend in lockstep (`refine_many`; `refine` is a batch of
-one). Each round stacks the facilities of the starts still running into one
-Weiszfeld call: start j's cluster ids are offset by j * p and label the
-demand rows once per start. Every start then gets its own assignment,
-monotonicity check, trace entry and stop test, and leaves the batch when it
-converges. A facility's accept/halve schedule reads only its own cluster,
-`bincount` sums each cluster's rows in input order and a KD-tree query of a
-point does not depend on the other points queried, so every start's result
-is bit-identical to descending it alone; the batch only shares the fixed
-cost of each numpy and KD-tree call.
+Several starts descend in lockstep (`refine_many`; `refine` returns the
+best of a batch). Each round stacks the facilities of the starts still
+running into one Weiszfeld call: start j's cluster ids are offset by j * p
+and label the demand rows once per start. Every start then gets its own
+assignment, monotonicity check, trace entry and stop test, and leaves the
+batch when it converges. A facility's accept/halve schedule reads only its
+own cluster, `bincount` sums each cluster's rows in input order and a
+KD-tree query of a point does not depend on the other points queried, so
+every start's result is bit-identical to descending it alone; the batch
+only shares the fixed cost of each numpy and KD-tree call.
 
 The same argument lets a facility try its halvings in the pass that
 rejected its step. A rejected facility keeps its position and its cluster
@@ -373,11 +373,10 @@ def refine_many(instance: Instance, dmin: float, starts) -> list[ContinuousSolut
         )
 
     x, w = instance.demand_xy, instance.weights
-    assignment, objective, trace = [], [], []
+    assignment, trace = [], []  # trace[k][-1] is start k's objective
     for fac in facs:
         c, obj = assign(fac, instance)
         assignment.append(c)
-        objective.append(obj)
         trace.append([obj])
     counted = np.zeros((k_all, 3), dtype=int)  # passes, proposals, queries
     running = list(range(k_all))
@@ -397,28 +396,28 @@ def refine_many(instance: Instance, dmin: float, starts) -> list[ContinuousSolut
         for j, k in enumerate(running):
             facs[k] = moved[j]
             assignment[k], new_obj = assign(facs[k], instance)
-            obj = objective[k]
+            obj = trace[k][-1]
             if not new_obj <= obj + 1e-9 * max(1.0, obj):  # a NaN objective fails too
                 raise RefineMonotonicityError(
                     f"start {k}: objective rose from {obj:.17g} to {new_obj:.17g} "
                     "within a round"
                 )
             trace[k].append(new_obj)
-            objective[k] = new_obj
             if obj - new_obj >= TOL_REFINE * max(obj, 1e-300):
                 still.append(k)
         running = still
     return [
-        ContinuousSolution(facilities=f.copy(), assignment=c, objective=o, trace=t,
+        ContinuousSolution(facilities=f.copy(), assignment=c, objective=t[-1], trace=t,
                            stats={"rounds": len(t) - 1, "passes": int(n[0]),
                                   "proposals": int(n[1]), "projected": int(n[2])})
-        for f, c, o, t, n in zip(facs, assignment, objective, trace, counted)
+        for f, c, t, n in zip(facs, assignment, trace, counted)
     ]
 
 
-def refine(instance: Instance, dmin: float, start) -> ContinuousSolution:
-    """Location-allocation descent from a feasible p-point configuration."""
-    return refine_many(instance, dmin, [start])[0]
+def refine(instance: Instance, dmin: float, start, *more) -> ContinuousSolution:
+    """The best (first of equal objectives) of the `refine_many` descents
+    from the feasible p-point configurations `start` and `more`."""
+    return min(refine_many(instance, dmin, [start, *more]), key=lambda s: s.objective)
 
 
 def multistart_random(
@@ -428,8 +427,8 @@ def multistart_random(
     tries: int,
     seed: int,
 ) -> ContinuousSolution:
-    """Best refine result over `tries` random feasible p-tuples (the first
-    of equal objectives), all descended in one batch.
+    """`refine` from `tries` random feasible p-tuples: the best result, the
+    first of equal objectives.
 
     The start pool is the feasible subset of `POOL_ATTEMPTS` uniform box
     samples; raises NoFeasibleSampleError when that subset is empty.
@@ -445,4 +444,4 @@ def multistart_random(
     rng = np.random.default_rng(seed)
     starts = [pool[rng.choice(len(pool), size=p, replace=len(pool) < p)]
               for _ in range(tries)]
-    return min(refine_many(instance, dmin, starts), key=lambda s: s.objective)
+    return refine(instance, dmin, *starts)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import voromedian.refine as refine_mod
 from voromedian import frontier
 from voromedian.candidates import feasible_candidates
 from voromedian.discrete import InfeasibleCardinalityError
@@ -51,6 +52,30 @@ class TestSolveOne:
         rec = solve_one(inst100, p=3, dmin=1.3, mode="exact", seed=0)
         assert rec.objective <= dsol.objective + 1e-9
         assert rec.proven
+
+    def test_one_refine_call_per_answer(self, inst100, monkeypatch):
+        # every answer descends its starts in one refine call: the number of
+        # starts it passed, per call
+        calls = []
+        refine = refine_mod.refine
+
+        def counted(instance, dmin, *starts):
+            calls.append(len(starts))
+            return refine(instance, dmin, *starts)
+
+        monkeypatch.setattr(refine_mod, "refine", counted)
+        answers = [
+            lambda: solve_one(inst100, p=3, dmin=0.0, starts=5, seed=1),  # p < nd
+            lambda: solve_one(inst100, p=100, dmin=0.0, starts=5, seed=1),  # p >= nd
+            lambda: solve_one(inst100, p=3, dmin=1.2, seed=1),
+            lambda: refine_mod.multistart_random(inst100, 0.95, p=3, tries=4, seed=1),
+        ]
+        per_answer = []
+        for answer in answers:
+            calls.clear()
+            answer()
+            per_answer.append(list(calls))
+        assert per_answer == [[5], [1], [1], [4]]
 
 
 class TestSweep:

@@ -632,6 +632,31 @@ class TestRefineStats:
         assert [s.stats for s in batch] == [refine(inst100, 0.95, s).stats for s in starts]
 
 
+class TestRefineBestOfStarts:
+    """`refine` with several starts is the best of their one batch."""
+
+    def test_best_of_the_batch(self, inst100):
+        a, b, c = sample_feasible(inst100, 0.95, count=12, seed=6)[0].reshape(3, 4, 2)
+        batch = refine_many(inst100, 0.95, [a, b, c])
+        want = batch[int(np.argmin([s.objective for s in batch]))]
+        assert len({s.objective for s in batch}) == 3
+        got = refine(inst100, 0.95, a, b, c)
+        assert np.array_equal(got.facilities, want.facilities)
+        assert np.array_equal(got.assignment, want.assignment)
+        assert got.objective == want.objective
+        assert got.trace == want.trace
+        assert got.stats == want.stats
+
+    def test_duplicate_starts_first_wins(self, inst100, monkeypatch):
+        pts, _ = sample_feasible(inst100, 0.95, count=3, seed=11)
+        assert refine(inst100, 0.95, pts, pts, pts).stats == refine(inst100, 0.95, pts).stats
+        tagged = [refine_mod.ContinuousSolution(objective=obj, facilities=np.full((3, 2), k),
+                                                assignment=np.zeros(100, int), trace=[obj])
+                  for k, obj in enumerate([5.0, 4.0, 4.0, 6.0])]
+        monkeypatch.setattr(refine_mod, "refine_many", lambda *a: tagged)
+        assert refine(inst100, 0.95, pts, pts, pts, pts) is tagged[1]
+
+
 def two_circle_instance(*protected):
     return Instance(demand_xy=[[0, 0]], weights=[1.0], obnoxious_xy=protected,
                     box=BoundingBox(0, 0, 10, 10))
